@@ -44,7 +44,7 @@ pub use cache::{BuildKey, BuildPanic, CacheStats, SynthCache};
 pub use pareto::{front_of, knee_point, Objective, ALL_OBJECTIVES};
 pub use report::{PointResult, PrunedPoint, SpaceReport};
 pub use space::{register_import, DesignSpec, ExplorePoint, SpaceSpec, WakeSpec};
-pub use store::{cache_salt, DiskStore, StoreLimits, StoreStats};
+pub use store::{cache_salt, fnv64, DiskStore, StoreLimits, StoreStats};
 pub use worker::run_pool;
 
 use rand::rngs::SmallRng;
@@ -70,12 +70,7 @@ pub struct BuildMetrics {
 
 /// FNV-1a over a key string: the deterministic per-point seed source.
 fn seed_of(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64(key.as_bytes())
 }
 
 /// Why the build gate rejected a `(design, W, code, T)` configuration

@@ -29,8 +29,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// FNV-1a over a byte string — the store's address hash.
-fn fnv64(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte string: the store's address hash, the per-point
+/// seed source, and the key imported sources are cached and registered
+/// under.
+#[must_use]
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);

@@ -14,19 +14,24 @@
 //! scanguard serve    --store .scanguard-cache --tcp 127.0.0.1:7311
 //! scanguard client   --connect 127.0.0.1:7311 --request '{"id":1,"type":"status"}'
 //! ```
+//!
+//! The job commands (`lint`, `verify`, `coverage`, `import`, `explore`,
+//! `pareto`) are parsed and run by [`scanguard_serve::job`], exactly as
+//! the daemon runs them; this file adds the human-readable output, the
+//! file artifacts and the exit status.
 
-use scanguard_core::{
-    apply_sabotage, break_even, cost_header, measure_cost, CodeChoice, Sabotage, Synthesizer,
-};
-use scanguard_designs::Fifo;
-use scanguard_explore::{cache_salt, report, DesignSpec, Objective, SpaceReport, SpaceSpec};
+use scanguard_core::{break_even, cost_header, measure_cost};
+use scanguard_explore::{cache_salt, front_of, report, Objective, SpaceReport};
 use scanguard_harness::{
     ablation_rush, cost_sweep, fig10_family, print_table, validation_obs, Fig10Config,
 };
-use scanguard_lint::{lint_netlist, LintContext, RuleSet, Severity};
+use scanguard_lint::{LintContext, Severity};
 use scanguard_obs::{Level, Profile, Recorder, RecorderConfig};
+use scanguard_serve::job::{
+    verdict, CoverageJob, ExploreJob, ImportJob, LintJob, ParetoJob, VerifyJob,
+};
 use scanguard_serve::{
-    run_bench, serve_http, serve_stdio, serve_tcp, BenchConfig, Daemon, ServeConfig,
+    serve_http, serve_stdio, serve_tcp, Daemon, Job, JobCtx, Params, ServeConfig, SynthSpec,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -39,74 +44,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    if cmd == "--version" || cmd == "-V" {
-        println!(
-            "scanguard {} (cache salt {})",
-            env!("CARGO_PKG_VERSION"),
-            cache_salt()
-        );
-        return ExitCode::SUCCESS;
-    }
-    // `lint` and `verify` accept their design as a positional:
-    // `scanguard lint fifo32x32`, `scanguard verify fifo32x32`.
-    // `import` takes its file the same way: `scanguard import design.v`.
-    let mut rest = rest.to_vec();
-    if (cmd == "lint" || cmd == "verify") && rest.first().is_some_and(|a| !a.starts_with("--")) {
-        let design = rest.remove(0);
-        rest.splice(0..0, ["--design".to_owned(), design]);
-    }
-    if cmd == "import" && rest.first().is_some_and(|a| !a.starts_with("--")) {
-        let file = rest.remove(0);
-        rest.splice(0..0, ["--in".to_owned(), file]);
-    }
-    let parsed = parse_opts(cmd, &rest).and_then(|mut o| {
-        check_keys(cmd, &o)?;
-        // For `verify`, --trace-out names the counterexample VCD, not
-        // the obs event trace — pull it out before the obs layer sees
-        // it (and would turn on event recording).
-        let vcd = if cmd == "verify" {
-            o.remove("trace-out")
-        } else {
-            None
-        };
-        let obs = Obs::from_opts(&o)?;
-        Ok((o, obs, vcd))
-    });
-    let (opts, obs, vcd_out) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "cost" => cmd_cost(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "explore" => cmd_explore(&opts, &obs),
-        "pareto" => cmd_pareto(&opts),
-        "validate" => cmd_validate(&opts, &obs),
-        "fig10" => cmd_fig10(&opts),
-        "rush" => cmd_rush(&opts),
-        "coverage" => cmd_coverage(&opts, &obs),
-        "lint" => cmd_lint(&opts, &obs),
-        "verify" => cmd_verify(&opts, &obs, vcd_out.as_deref()),
-        "verilog" => cmd_verilog(&opts),
-        "import" => cmd_import(&opts),
-        "json" => cmd_json(&opts),
-        "serve" => cmd_serve(&opts),
-        "client" => cmd_client(&opts),
-        "bench" => cmd_bench(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown command {other:?} (valid: {})",
-            command_names().join(" ")
-        )),
-    };
-    let result = result.and_then(|()| obs.finish());
-    match result {
+    match run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -115,37 +53,106 @@ fn main() -> ExitCode {
     }
 }
 
+fn run(cmd: &str, rest: &[String]) -> Result<(), String> {
+    match cmd {
+        "--version" | "-V" => {
+            let version = env!("CARGO_PKG_VERSION");
+            println!("scanguard {version} (cache salt {})", cache_salt());
+            return Ok(());
+        }
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            return Ok(());
+        }
+        _ => {}
+    }
+    let Some(&(_, own)) = COMMAND_KEYS.iter().find(|(c, _)| *c == cmd) else {
+        let names: Vec<&str> = COMMAND_KEYS.iter().map(|(c, _)| *c).collect();
+        return Err(format!(
+            "unknown command {cmd:?} (valid: {} help)",
+            names.join(" ")
+        ));
+    };
+    // `lint` and `verify` accept their design as a positional:
+    // `scanguard lint fifo32x32`, `scanguard verify fifo32x32`.
+    // `import` takes its file the same way: `scanguard import design.v`.
+    let mut rest = rest.to_vec();
+    let positional = match cmd {
+        "lint" | "verify" => Some("--design"),
+        "import" => Some("--in"),
+        _ => None,
+    };
+    if let Some(key) = positional.filter(|_| rest.first().is_some_and(|a| !a.starts_with("--"))) {
+        rest.insert(0, key.to_owned());
+    }
+    let mut opts = parse_opts(&rest)?;
+    // For `verify`, --trace-out names the counterexample VCD, not the
+    // obs event trace — pull it out before the obs layer sees it (and
+    // would turn on event recording).
+    let vcd_out = if cmd == "verify" {
+        opts.remove("trace-out")
+    } else {
+        None
+    };
+    let own: Vec<&str> = own
+        .split_whitespace()
+        .chain(GLOBAL_KEYS.split(' '))
+        .collect();
+    let params = Params::Argv(&opts, &own);
+    let obs = Obs::from_params(&params)?;
+    if Job::KINDS.contains(&cmd) {
+        let job = Job::parse(cmd, &params)?;
+        let ctx = obs.ctx(job.workers(num_threads_default()).unwrap_or(1));
+        match &job {
+            Job::Lint(j) => cmd_lint(j, &ctx, &params),
+            Job::Verify(j) => cmd_verify(j, &ctx, &params, vcd_out.as_deref()),
+            Job::Coverage(j) => cmd_coverage(j, &ctx, &params, &obs),
+            Job::Import(j) => cmd_import(j, &params),
+            Job::Explore(j) => cmd_explore(j, &ctx, &params, &obs),
+            Job::Pareto(j) => cmd_pareto(j),
+        }?;
+    } else {
+        params.check(cmd, "")?;
+        match cmd {
+            "cost" => cmd_cost(&params),
+            "sweep" => cmd_sweep(&params),
+            "validate" => cmd_validate(&params, &obs),
+            "fig10" => cmd_fig10(&params),
+            "rush" => cmd_rush(&params),
+            "verilog" => cmd_verilog(&params),
+            "json" => cmd_json(&params),
+            "serve" => cmd_serve(&params),
+            _ => cmd_client(&params),
+        }?;
+    }
+    obs.finish()
+}
+
 /// The observability context every command runs under: one recorder,
 /// plus what to do with it when the command succeeds.
 struct Obs {
-    rec: std::sync::Arc<Recorder>,
+    rec: Arc<Recorder>,
     trace_out: Option<String>,
     profile_out: Option<String>,
     metrics_out: Option<String>,
     metrics: bool,
     deterministic: bool,
-    /// Set by a command that embedded the metrics snapshot into its own
-    /// `--json` artifact: [`Obs::finish`] must not also interleave the
-    /// snapshot into stdout.
-    embedded: std::cell::Cell<bool>,
 }
 
 impl Obs {
-    fn from_opts(opts: &HashMap<String, String>) -> Result<Obs, String> {
-        let mut level = match opts.get("log-level") {
-            Some(v) => v.parse::<Level>()?,
-            None => Level::Info,
-        };
-        if get(opts, "quiet", false)? {
+    fn from_params(p: &Params) -> Result<Obs, String> {
+        let mut level = p.parsed("log-level")?.unwrap_or(Level::Info);
+        if p.bool("quiet")?.unwrap_or(false) {
             level = Level::Warn;
         }
-        let trace_out = opts.get("trace-out").cloned();
-        let profile_out = opts.get("profile-out").cloned();
-        let trace = get(opts, "trace", false)? || trace_out.is_some() || profile_out.is_some();
-        let metrics_out = opts.get("metrics-out").cloned();
-        let metrics = get(opts, "metrics", false)? || metrics_out.is_some();
+        let trace_out = p.text("trace-out")?.map(str::to_owned);
+        let profile_out = p.text("profile-out")?.map(str::to_owned);
+        let trace =
+            p.bool("trace")?.unwrap_or(false) || trace_out.is_some() || profile_out.is_some();
+        let metrics_out = p.text("metrics-out")?.map(str::to_owned);
+        let metrics = p.bool("metrics")?.unwrap_or(false) || metrics_out.is_some();
         Ok(Obs {
-            rec: std::sync::Arc::new(Recorder::new(RecorderConfig {
+            rec: Arc::new(Recorder::new(RecorderConfig {
                 level,
                 trace,
                 metrics,
@@ -155,15 +162,8 @@ impl Obs {
             profile_out,
             metrics_out,
             metrics,
-            deterministic: get(opts, "deterministic", false)?,
-            embedded: std::cell::Cell::new(false),
+            deterministic: p.bool("deterministic")?.unwrap_or(false),
         })
-    }
-
-    /// Marks the snapshot as already delivered inside a command's own
-    /// `--json` file; the finish hook then skips the stdout dump.
-    fn mark_embedded(&self) {
-        self.embedded.set(true);
     }
 
     /// The recorder, only while event or metric collection is on —
@@ -173,21 +173,28 @@ impl Obs {
         (self.rec.trace_enabled() || self.rec.metrics_enabled()).then_some(&*self.rec)
     }
 
+    /// What a job runs with in-process: `threads` workers, no
+    /// cancellation, no store.
+    fn ctx(&self, threads: usize) -> JobCtx<'_> {
+        JobCtx {
+            threads,
+            obs: self.active(),
+            cancel: None,
+            store: None,
+            deterministic: self.deterministic,
+        }
+    }
+
     /// Flushes the sinks after a successful command: the trace file
     /// (JSONL when the path ends in `.jsonl`, Chrome trace-event JSON
     /// otherwise), the collapsed-stack profile, and the metrics
     /// snapshot (to `--metrics-out` when given, stdout otherwise;
     /// deterministic sections only under `--deterministic`).
     fn finish(&self) -> Result<(), String> {
-        if let Some(path) = &self.trace_out {
-            let doc = if path.ends_with(".jsonl") {
-                self.rec.to_jsonl()?
-            } else {
-                self.rec.to_chrome_trace()?
-            };
-            std::fs::write(path, doc).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote {path}");
-        }
+        write_out(self.trace_out.as_deref(), || match &self.trace_out {
+            Some(path) if path.ends_with(".jsonl") => self.rec.to_jsonl(),
+            _ => self.rec.to_chrome_trace(),
+        })?;
         if let Some(path) = &self.profile_out {
             let profile = Profile::from_events(&self.rec.events())?;
             profile.verify()?;
@@ -195,19 +202,16 @@ impl Obs {
                 .map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path} ({} spans folded)", profile.spans);
         }
-        if self.metrics && !self.embedded.get() {
+        if self.metrics {
             let snap = self.rec.metrics_snapshot();
             let doc = if self.deterministic {
                 snap.deterministic_json()?
             } else {
                 snap.to_json()?
             };
-            match &self.metrics_out {
-                Some(path) => {
-                    std::fs::write(path, doc).map_err(|e| format!("writing {path}: {e}"))?;
-                    println!("wrote {path}");
-                }
+            match self.metrics_out.as_deref() {
                 None => println!("{doc}"),
+                path => write_out(path, || Ok(doc))?,
             }
         }
         Ok(())
@@ -245,15 +249,14 @@ COMMANDS:
   coverage  stuck-at fault coverage of the protected design's scan test
               --depth N --width N --chains N --code CODE --test-width N
               [--patterns N] [--max-faults N] [--threads N] [--json FILE]
-              [--engine scalar|wide] [--deterministic]
+              [--engine scalar|wide] [--scope pgc|all]
               [--in NETLIST.v|.json] [--hold-low p1,p2,...]
             --engine wide (default) packs 63 faults per 64-lane simulator
             word; scalar runs one fault per machine. Reports are
-            byte-identical. --deterministic zeroes the wall_ms field so
-            output files can be compared across runs. --in simulates an
-            imported scan-stitched netlist through its recovered se/si/so
-            chains (direct access, scope all); --hold-low pins the named
-            input ports at 0 during the test.
+            byte-identical. --in simulates an imported scan-stitched
+            netlist through its recovered se/si/so chains (direct access,
+            scope all); --hold-low pins the named input ports at 0 during
+            the test.
   lint      static design-rule check of a synthesized protected design
               [DESIGN | --design fifo32x32|datapath8x16|...] [--chains N]
               [--code CODE] [--test-width N] [--rules SG001,SG102,...]
@@ -300,16 +303,19 @@ COMMANDS:
             (a metrics response also gets a latency p50/p90/p99 summary
             on stderr)
               --connect HOST:PORT --request JSON [--timeout-ms N]
-  bench     run the fixed perf-trajectory workload matrix (lint,
-            scalar-vs-wide coverage, explore) against an in-process
-            daemon and report wall/cycles/cell-evals/RSS per workload
-              [--quick] [--json] [--out FILE] [--deterministic]
-              [--threads N]
+
+The job commands (lint, verify, coverage, import, explore, pareto) take
+the keys of the daemon's requests of the same name (PROTOCOL.md), spelled
+--test-width for test_width, --no-prune for prune false, and --in FILE
+for an inline source or report; their --json / --out file is the
+daemon's result.
 
 GLOBAL OPTIONS (any command):
   --version | -V                                print version and cache salt
   --log-level off|error|warn|info|debug|trace   stderr log threshold (default info)
   --quiet                                       shorthand for --log-level warn
+  --deterministic                               zero wall-clock fields so outputs
+                                                  compare byte for byte
   --trace                                       record structured events
   --trace-out FILE                              write the trace (implies --trace);
                                                   .jsonl = event stream, else
@@ -321,179 +327,53 @@ GLOBAL OPTIONS (any command):
   --metrics                                     collect counters/histograms and
                                                   print the snapshot on success
   --metrics-out FILE                            write the snapshot to FILE instead
-                                                  of stdout (implies --metrics);
-                                                  preferred over the deprecated
-                                                  inline embedding that
-                                                  `coverage --json --metrics` does
+                                                  of stdout (implies --metrics)
 
 CODE: crc16 | hamming:M | secded:M | parity:GW   (M = parity bits, 3..=6)";
 
-/// The options each command understands; anything else is a typo the
+/// Every command and the options the CLI reads itself; a job command's
+/// parameters are declared by its job kind. Anything else is a typo the
 /// user should hear about rather than a silently ignored no-op.
-const COMMAND_KEYS: &[(&str, &[&str])] = &[
-    ("cost", &["depth", "width", "chains", "code", "test-width"]),
-    (
-        "sweep",
-        &["depth", "width", "code", "chains", "json", "csv"],
-    ),
-    (
-        "explore",
-        &[
-            "design",
-            "in",
-            "threads",
-            "wmin",
-            "wmax",
-            "trials",
-            "test-width",
-            "no-prune",
-            "out",
-            "csv",
-        ],
-    ),
-    ("pareto", &["in", "objectives", "recommend", "weights"]),
-    ("validate", &["sequences", "mode"]),
-    ("fig10", &["sequences", "burst"]),
-    ("rush", &["trials"]),
-    (
-        "coverage",
-        &[
-            "depth",
-            "width",
-            "chains",
-            "code",
-            "test-width",
-            "patterns",
-            "max-faults",
-            "scope",
-            "threads",
-            "engine",
-            "deterministic",
-            "json",
-            "in",
-            "hold-low",
-        ],
-    ),
-    (
-        "lint",
-        &[
-            "design",
-            "chains",
-            "code",
-            "test-width",
-            "rules",
-            "deny",
-            "json",
-            "in",
-        ],
-    ),
-    (
-        "verify",
-        &[
-            "design",
-            "chains",
-            "code",
-            "test-width",
-            "rules",
-            "deny",
-            "json",
-            "seed-bad",
-            "trace-out",
-            "in",
-        ],
-    ),
+const COMMAND_KEYS: &[(&str, &str)] = &[
+    ("cost", "depth width chains code test-width"),
+    ("sweep", "depth width code chains json csv"),
+    ("explore", "out csv"),
+    ("pareto", ""),
+    ("validate", "sequences mode"),
+    ("fig10", "sequences burst"),
+    ("rush", "trials"),
+    ("coverage", "json"),
+    ("lint", "json"),
+    ("verify", "json trace-out"),
     (
         "verilog",
-        &[
-            "design",
-            "depth",
-            "width",
-            "chains",
-            "code",
-            "test-width",
-            "out",
-            "style",
-        ],
+        "design depth width chains code test-width out style",
     ),
-    ("import", &["in", "json", "verilog"]),
-    (
-        "json",
-        &["depth", "width", "chains", "code", "test-width", "out"],
-    ),
+    ("import", "json verilog"),
+    ("json", "depth width chains code test-width out"),
     (
         "serve",
-        &[
-            "threads",
-            "store",
-            "store-max-entries",
-            "store-max-bytes",
-            "tcp",
-            "http",
-            "sample-ms",
-        ],
+        "threads store store-max-entries store-max-bytes tcp http sample-ms",
     ),
-    ("client", &["connect", "request", "timeout-ms"]),
-    (
-        "bench",
-        &["quick", "json", "out", "deterministic", "threads"],
-    ),
+    ("client", "connect request timeout-ms"),
 ];
 
 /// Options every command understands (the observability layer).
-const GLOBAL_KEYS: &[&str] = &[
-    "log-level",
-    "quiet",
-    "trace",
-    "trace-out",
-    "profile-out",
-    "metrics",
-    "metrics-out",
-];
+const GLOBAL_KEYS: &str =
+    "log-level quiet deterministic trace trace-out profile-out metrics metrics-out";
 
 /// Options that are flags: the value is optional and defaults to
 /// `true`.
 const FLAG_KEYS: &[&str] = &["quiet", "trace", "metrics", "no-prune", "deterministic"];
 
-/// Flags that only exist on one command — `bench --json` prints to
-/// stdout, while every other command's `--json` takes a file path.
-const COMMAND_FLAG_KEYS: &[(&str, &[&str])] = &[("bench", &["quick", "json"])];
-
-fn command_names() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = COMMAND_KEYS.iter().map(|(c, _)| *c).collect();
-    names.push("help");
-    names
-}
-
-fn check_keys(cmd: &str, opts: &HashMap<String, String>) -> Result<(), String> {
-    let Some((_, keys)) = COMMAND_KEYS.iter().find(|(c, _)| *c == cmd) else {
-        return Ok(());
-    };
-    let valid = |k: &str| keys.contains(&k) || GLOBAL_KEYS.contains(&k);
-    match opts.keys().find(|k| !valid(k.as_str())) {
-        Some(bad) => Err(format!(
-            "unknown option --{bad} for {cmd} (valid: {})",
-            keys.iter()
-                .chain(GLOBAL_KEYS)
-                .map(|k| format!("--{k}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        )),
-        None => Ok(()),
-    }
-}
-
-fn parse_opts(cmd: &str, rest: &[String]) -> Result<HashMap<String, String>, String> {
-    let cmd_flags = COMMAND_FLAG_KEYS
-        .iter()
-        .find(|(c, _)| *c == cmd)
-        .map_or(&[][..], |(_, flags)| flags);
+fn parse_opts(rest: &[String]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut it = rest.iter().peekable();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --key, got {key:?}"));
         };
-        if FLAG_KEYS.contains(&name) || cmd_flags.contains(&name) {
+        if FLAG_KEYS.contains(&name) {
             // A bare flag means true; an explicit true/false still parses.
             let value = match it.peek() {
                 Some(v) if *v == "true" || *v == "false" => it.next().unwrap().clone(),
@@ -510,41 +390,32 @@ fn parse_opts(cmd: &str, rest: &[String]) -> Result<HashMap<String, String>, Str
     Ok(opts)
 }
 
-fn get<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value {v:?} for --{key}")),
+fn num_threads_default() -> usize {
+    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+}
+
+/// Writes the document `doc` builds when the command was given a path
+/// for it.
+fn write_out(
+    path: Option<&str>,
+    doc: impl FnOnce() -> Result<String, String>,
+) -> Result<(), String> {
+    if let Some(path) = path {
+        report::write_file(path, &doc()?)?;
+        println!("wrote {path}");
     }
+    Ok(())
 }
 
-fn parse_code(opts: &HashMap<String, String>) -> Result<CodeChoice, String> {
-    scanguard_serve::parse_code(opts.get("code").map_or("hamming:3", String::as_str))
+/// [`write_out`] for a job's result, as pretty JSON.
+fn write_json(path: Option<&str>, value: &serde::Value) -> Result<(), String> {
+    write_out(path, || {
+        serde_json::to_string_pretty(value).map_err(|e| e.to_string())
+    })
 }
 
-fn build(opts: &HashMap<String, String>) -> Result<scanguard_core::ProtectedDesign, String> {
-    let depth = get(opts, "depth", 32usize)?;
-    let width = get(opts, "width", 32usize)?;
-    let chains = get(opts, "chains", 80usize)?;
-    let code = parse_code(opts)?;
-    let fifo = Fifo::generate(depth, width);
-    let mut synth = Synthesizer::new(fifo.netlist).chains(chains).code(code);
-    if let Some(tw) = opts.get("test-width") {
-        let tw: usize = tw
-            .parse()
-            .map_err(|_| format!("invalid --test-width {tw:?}"))?;
-        synth = synth.test_width(tw);
-    }
-    synth.build().map_err(|e| e.to_string())
-}
-
-fn cmd_cost(opts: &HashMap<String, String>) -> Result<(), String> {
-    let design = build(opts)?;
+fn cmd_cost(p: &Params) -> Result<(), String> {
+    let design = SynthSpec::export(p)?.build()?;
     let row = measure_cost(&design, 0xC11);
     print_table(
         &format!(
@@ -568,19 +439,15 @@ fn cmd_cost(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
-    let depth = get(opts, "depth", 32usize)?;
-    let width = get(opts, "width", 32usize)?;
-    let code = parse_code(opts)?;
-    let chains: Vec<usize> = opts
-        .get("chains")
-        .map_or("4,8,16,40,80", String::as_str)
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("bad chain count {s:?}"))
-        })
+fn cmd_sweep(p: &Params) -> Result<(), String> {
+    let depth = p.usize("depth")?.unwrap_or(32);
+    let width = p.usize("width")?.unwrap_or(32);
+    let code = p.code()?;
+    let chains: Vec<usize> = p
+        .list("chains")?
+        .unwrap_or_else(|| vec!["4", "8", "16", "40", "80"])
+        .iter()
+        .map(|s| s.parse().map_err(|_| format!("bad chain count {s:?}")))
         .collect::<Result<_, _>>()?;
     let rows = cost_sweep(depth, width, code, &chains);
     print_table(
@@ -588,47 +455,21 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         &cost_header(),
         &rows.iter().map(ToString::to_string).collect::<Vec<_>>(),
     );
-    if let Some(path) = opts.get("json") {
-        report::write_file(path, &report::cost_rows_json(&rows)?)?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = opts.get("csv") {
-        report::write_file(path, &report::cost_rows_csv(&rows))?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    write_out(p.text("json")?, || report::cost_rows_json(&rows))?;
+    write_out(p.text("csv")?, || Ok(report::cost_rows_csv(&rows)))
 }
 
-fn cmd_explore(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String> {
-    let design = match opts.get("in") {
-        Some(path) => {
-            let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let nl = parse_netlist(path, &doc)?;
-            scanguard_explore::register_import(fnv64(doc.as_bytes()), nl)
-        }
-        None => DesignSpec::parse(opts.get("design").map_or("fifo32x32", String::as_str))?,
-    };
-    let threads = get(opts, "threads", num_threads_default())?;
-    let mut spec = SpaceSpec::paper(design);
-    spec.w_min = get(opts, "wmin", spec.w_min)?;
-    spec.w_max = get(opts, "wmax", spec.w_max)?;
-    spec.trials = get(opts, "trials", spec.trials)?;
-    if let Some(tw) = opts.get("test-width") {
-        let tw: usize = tw
-            .parse()
-            .map_err(|_| format!("invalid --test-width {tw:?}"))?;
-        spec.test_width = Some(tw);
-    }
-    spec.prune = !get(opts, "no-prune", false)?;
+fn cmd_explore(job: &ExploreJob, ctx: &JobCtx, p: &Params, obs: &Obs) -> Result<(), String> {
+    let spec = job.space()?;
     let n = spec.enumerate().len();
     obs.rec.info(&format!(
         "exploring {} ({} flops): {} points on {} threads...",
-        design.label(),
-        design.ff_count(),
+        spec.design.label(),
+        spec.design.ff_count(),
         n,
-        threads
+        ctx.threads
     ));
-    let result = scanguard_explore::explore_obs(&spec, threads, obs.active())?;
+    let result = ExploreJob::explore(&spec, ctx).map_err(|e| e.to_string())?;
     obs.rec.info(&format!(
         "evaluated {} points ({} unique builds, {} cache hits)",
         result.points.len(),
@@ -654,46 +495,25 @@ fn cmd_explore(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String> 
         }
         print_prune_counts(&result);
     }
-    print_front(
-        &result,
-        &[Objective::AreaOverheadPct, Objective::LatencyNs],
-        None,
-    )?;
-    if let Some(path) = opts.get("out") {
-        report::write_file(path, &result.to_json()?)?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = opts.get("csv") {
-        report::write_file(path, &result.to_csv())?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    let objectives = [Objective::AreaOverheadPct, Objective::LatencyNs];
+    print_front(&result, &objectives, &front_of(&result.points, &objectives));
+    write_out(p.text("out")?, || result.to_json())?;
+    write_out(p.text("csv")?, || Ok(result.to_csv()))
 }
 
-fn num_threads_default() -> usize {
-    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-}
-
-fn cmd_pareto(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts.get("in").ok_or("pareto needs --in FILE")?;
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let result = SpaceReport::from_json(&doc)?;
-    let objectives = match opts.get("objectives") {
-        Some(list) => Objective::parse_list(list)?,
-        None => vec![Objective::AreaOverheadPct, Objective::LatencyNs],
-    };
-    let recommend = get(opts, "recommend", false)?;
-    let weights: Vec<f64> = match opts.get("weights") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().map_err(|_| format!("bad weight {s:?}")))
-            .collect::<Result<_, _>>()?,
-        None => vec![1.0; objectives.len()],
-    };
-    if !result.pruned.is_empty() {
-        print_prune_counts(&result);
+fn cmd_pareto(job: &ParetoJob) -> Result<(), String> {
+    if !job.report.pruned.is_empty() {
+        print_prune_counts(&job.report);
     }
-    print_front(&result, &objectives, recommend.then_some(&weights))?;
+    let front = job.front();
+    print_front(&job.report, &job.objectives, &front);
+    if job.recommend {
+        let p = &job.report.points[job.knee(&front)?];
+        println!(
+            "recommend: #{} {} W={} {} (weights {:?})",
+            p.id, p.code, p.chains, p.wake, job.weights
+        );
+    }
     Ok(())
 }
 
@@ -709,14 +529,8 @@ fn print_prune_counts(result: &SpaceReport) {
     );
 }
 
-/// Prints the Pareto front of `result` under `objectives`; with
-/// `weights`, also the knee-point recommendation.
-fn print_front(
-    result: &SpaceReport,
-    objectives: &[Objective],
-    weights: Option<&Vec<f64>>,
-) -> Result<(), String> {
-    let front = scanguard_explore::front_of(&result.points, objectives);
+/// Prints the Pareto `front` of `result` under `objectives`.
+fn print_front(result: &SpaceReport, objectives: &[Objective], front: &[usize]) {
     let names: Vec<&str> = objectives.iter().map(Objective::name).collect();
     println!(
         "Pareto front under ({}): {} of {} points",
@@ -724,7 +538,7 @@ fn print_front(
         front.len(),
         result.points.len()
     );
-    for &i in &front {
+    for &i in front {
         let p = &result.points[i];
         let values: Vec<String> = objectives
             .iter()
@@ -739,21 +553,11 @@ fn print_front(
             values.join("  ")
         );
     }
-    if let Some(weights) = weights {
-        let knee = scanguard_explore::knee_point(&result.points, &front, objectives, weights)
-            .ok_or("empty front, nothing to recommend")?;
-        let p = &result.points[knee];
-        println!(
-            "recommend: #{} {} W={} {} (weights {:?})",
-            p.id, p.code, p.chains, p.wake, weights
-        );
-    }
-    Ok(())
 }
 
-fn cmd_validate(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String> {
-    let sequences = get(opts, "sequences", 10u64)?;
-    let mode = opts.get("mode").map_or("single", String::as_str);
+fn cmd_validate(p: &Params, obs: &Obs) -> Result<(), String> {
+    let sequences = p.u64("sequences")?.unwrap_or(10);
+    let mode = p.text("mode")?.unwrap_or("single");
     match mode {
         "single" | "burst" | "none" => {}
         other => return Err(format!("unknown mode {other:?}")),
@@ -777,12 +581,11 @@ fn cmd_validate(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String>
     Ok(())
 }
 
-fn cmd_fig10(opts: &HashMap<String, String>) -> Result<(), String> {
-    let sequences = get(opts, "sequences", 10_000u64)?;
-    let burst = get(opts, "burst", false)?;
+fn cmd_fig10(p: &Params) -> Result<(), String> {
+    let sequences = p.u64("sequences")?.unwrap_or(10_000);
     let cfg = Fig10Config {
         sequences,
-        burst,
+        burst: p.bool("burst")?.unwrap_or(false),
         ..Fig10Config::default()
     };
     println!("corrected % per injected-error count (1..=10), {sequences} sequences/point:");
@@ -796,8 +599,8 @@ fn cmd_fig10(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_rush(opts: &HashMap<String, String>) -> Result<(), String> {
-    let trials = get(opts, "trials", 1000u64)?;
+fn cmd_rush(p: &Params) -> Result<(), String> {
+    let trials = p.u64("trials")?.unwrap_or(1000);
     for r in ablation_rush(80, 13, trials, 0xC11) {
         println!(
             "  {:<32} bounce {:.3} V  wake {:>3} cyc  P(upset) {:.3}  P(corrupt) {:.3}",
@@ -807,13 +610,13 @@ fn cmd_rush(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_json(opts: &HashMap<String, String>) -> Result<(), String> {
-    let design = build(opts)?;
+fn cmd_json(p: &Params) -> Result<(), String> {
+    let design = SynthSpec::export(p)?.build()?;
     let doc = design
         .netlist
         .to_json()
         .map_err(|e| format!("encoding netlist: {e}"))?;
-    match opts.get("out") {
+    match p.text("out")? {
         Some(path) => {
             std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
             println!(
@@ -828,118 +631,16 @@ fn cmd_json(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_coverage(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String> {
-    use scanguard_dft::{
-        enumerate_faults, fault_coverage_obs, FaultSimConfig, FaultSimEngine, ScanAccess,
-    };
-    let mut opts = opts.clone();
-    opts.entry("test-width".to_owned())
-        .or_insert_with(|| "4".to_owned());
-    // --in: an imported scan-stitched netlist, simulated directly
-    // through its recovered se/si/so chains. Otherwise a generated
-    // protected design through its test-mode interface.
-    let imported = match opts.get("in") {
-        Some(path) => {
-            let nl = load_netlist(path)?;
-            let chains = scanguard_dft::recover_scan_chains(&nl).map_err(|e| e.to_string())?;
-            Some((nl, chains))
-        }
-        None => None,
-    };
-    let design;
-    let import_library;
-    let netlist: &scanguard_netlist::Netlist;
-    let library: &scanguard_netlist::CellLibrary;
-    let access: ScanAccess<'_>;
-    let gated_watermark: usize;
-    let hold_low: Vec<String>;
-    if let Some((nl, chains)) = &imported {
-        import_library = scanguard_netlist::CellLibrary::st120nm();
-        netlist = nl;
-        library = &import_library;
-        access = ScanAccess::Direct(chains);
-        // No synthesis metadata: every cell is in scope (--scope pgc
-        // and all coincide).
-        gated_watermark = nl.cell_count();
-        hold_low = opts
-            .get("hold-low")
-            .map(|s| {
-                s.split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(str::to_owned)
-                    .collect()
-            })
-            .unwrap_or_default();
-    } else {
-        if opts.contains_key("hold-low") {
-            return Err("--hold-low only applies with --in (generated designs pin their own monitor controls)".into());
-        }
-        design = build(&opts)?;
-        let tm = design
-            .test_mode
-            .as_ref()
-            .ok_or("coverage needs --test-width")?;
-        netlist = &design.netlist;
-        library = &design.library;
-        access = ScanAccess::TestMode(&design.chains, tm);
-        gated_watermark = design.gated_watermark;
-        hold_low = design.monitor.hold_low_ports();
-    }
-    let patterns = get(&opts, "patterns", 16usize)?;
-    let threads = get(&opts, "threads", num_threads_default())?;
-    // The engines are byte-identical (differentially tested); wide is
-    // simply faster, so it is the default.
-    let engine = match opts.get("engine") {
-        Some(name) => FaultSimEngine::parse(name)
-            .ok_or_else(|| format!("unknown --engine {name:?} (scalar | wide)"))?,
-        None => FaultSimEngine::Wide,
-    };
-    let deterministic = opts.get("deterministic").map(String::as_str) == Some("true");
-    let max_faults = match opts.get("max-faults") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --max-faults {v:?}"))?),
-        None => Some(200),
-    };
-    // Default scope: the power-gated circuit's faults. The monitor's own
-    // logic sits idle during manufacturing test (controls held low) and
-    // needs dedicated patterns — out of scope for the scan test.
-    let scope = opts.get("scope").cloned().unwrap_or_else(|| "pgc".into());
-    let mut faults = enumerate_faults(netlist);
-    if scope == "pgc" {
-        faults.retain(|f| f.cell.index() < gated_watermark);
-    } else if scope != "all" {
-        return Err(format!("unknown --scope {scope:?} (pgc | all)"));
-    }
+fn cmd_coverage(job: &CoverageJob, ctx: &JobCtx, p: &Params, obs: &Obs) -> Result<(), String> {
     obs.rec.info(&format!(
-        "{} {scope} faults; simulating {} with {} patterns on {} threads ({} engine)...",
-        faults.len(),
-        max_faults.unwrap_or(faults.len()).min(faults.len()),
-        patterns,
-        threads,
-        engine.name()
+        "simulating up to {} {} faults with {} patterns on {} threads ({} engine)...",
+        job.max_faults,
+        if job.all_faults { "all" } else { "pgc" },
+        job.patterns,
+        ctx.threads,
+        job.engine.name()
     ));
-    let mut report = fault_coverage_obs(
-        netlist,
-        access,
-        library,
-        &faults,
-        &FaultSimConfig {
-            patterns,
-            seed: 0xC0 | 1,
-            max_faults,
-            hold_low,
-            threads,
-            engine,
-        },
-        obs.active(),
-    )
-    .map_err(|e| e.to_string())?;
-    if deterministic {
-        // wall_ms is the one measurement-noise field; zeroing it makes
-        // the printed report and any --json file byte-comparable across
-        // runs, engines and thread counts.
-        report.wall_ms = 0.0;
-    }
+    let report = job.report(ctx)?;
     match report.coverage_pct() {
         Some(pct) => println!(
             "detected {}/{} = {pct:.1}% stuck-at coverage through the test interface",
@@ -974,160 +675,42 @@ fn cmd_coverage(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String>
             &report.undetected_sample[..report.undetected_sample.len().min(5)]
         );
     }
-    if let Some(path) = opts.get("json") {
-        // Without --metrics the document is byte-identical to the
-        // pre-observability output; with it, the coverage report and the
-        // metrics snapshot ride in one object. That inline embedding is
-        // deprecated — pass --metrics-out FILE to keep the coverage
-        // report and the snapshot independently machine-parseable.
-        let doc = if obs.metrics && obs.metrics_out.is_none() {
-            let combined = serde::Value::Object(vec![
-                ("coverage".to_owned(), serde::Serialize::to_value(&report)),
-                (
-                    "metrics".to_owned(),
-                    serde::Serialize::to_value(&obs.rec.metrics_snapshot()),
-                ),
-            ]);
-            serde_json::to_string_pretty(&combined).map_err(|e| e.to_string())?
-        } else {
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        };
-        report::write_file(path, &doc)?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    write_json(p.text("json")?, &CoverageJob::value(&report))
 }
 
-fn cmd_lint(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String> {
-    let rules = match opts.get("rules") {
-        Some(list) => {
-            let ids: Vec<&str> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            RuleSet::select(&ids).map_err(|e| e.to_string())?
-        }
-        None => RuleSet::all(),
-    };
-    let deny: Severity = match opts.get("deny") {
-        Some(v) => v.parse()?,
-        None => Severity::Error,
-    };
-    let report = if let Some(path) = opts.get("in") {
-        // JSON decodes raw, deliberately without revalidation: linting
-        // netlists the validator would reject is the point. Verilog
-        // arrives validated by construction (the importer runs
-        // revalidate and reports a located error instead).
-        let nl = load_netlist(path)?;
-        lint_netlist(
-            &nl,
-            &scanguard_netlist::CellLibrary::st120nm(),
-            &rules,
-            obs.active(),
-        )
-    } else {
-        let spec = DesignSpec::parse(opts.get("design").map_or("fifo32x32", String::as_str))?;
-        let chains = get(opts, "chains", 8usize)?;
-        let code = parse_code(opts)?;
-        let tw = get(opts, "test-width", 4usize)?;
-        let design = Synthesizer::new(spec.netlist())
-            .chains(chains)
-            .code(code)
-            .test_width(tw)
-            .build()
-            .map_err(|e| e.to_string())?;
-        design.lint(&rules, obs.active())
-    };
+fn cmd_lint(job: &LintJob, ctx: &JobCtx, p: &Params) -> Result<(), String> {
+    let report = job.report(ctx)?;
     println!("{report}");
-    if let Some(path) = opts.get("json") {
-        // With --metrics and no --metrics-out, the report and the
-        // snapshot ride in one object (matching `coverage --json
-        // --metrics`) instead of the snapshot interleaving with the
-        // diagnostics on stdout. --metrics-out FILE keeps them
-        // independently machine-parseable and is preferred.
-        let doc = if obs.metrics && obs.metrics_out.is_none() {
-            let combined = serde::Value::Object(vec![
-                ("lint".to_owned(), serde::Serialize::to_value(&report)),
-                (
-                    "metrics".to_owned(),
-                    serde::Serialize::to_value(&obs.rec.metrics_snapshot()),
-                ),
-            ]);
-            obs.mark_embedded();
-            serde_json::to_string_pretty(&combined).map_err(|e| e.to_string())?
-        } else {
-            report.to_json()?
-        };
-        std::fs::write(path, doc).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+    let verdict = verdict(&report, None, job.deny);
+    judge(p, &verdict, "lint found findings", job.deny)
+}
+
+/// Writes a lint or verify verdict to `--json` and turns it into the
+/// exit status.
+fn judge(p: &Params, verdict: &serde::Value, failure: &str, deny: Severity) -> Result<(), String> {
+    write_json(p.text("json")?, verdict)?;
+    if verdict.get("clean") == Some(&serde::Value::Bool(true)) {
+        return Ok(());
     }
-    if report.is_clean_at(deny) {
-        Ok(())
-    } else {
-        Err(format!(
-            "lint found findings at or above --deny {deny} (worst: {})",
-            report.worst().map_or_else(String::new, |s| s.to_string())
-        ))
-    }
+    let worst = verdict.get("worst").and_then(serde::Value::as_str);
+    Err(format!(
+        "{failure} at or above --deny {deny} (worst: {})",
+        worst.unwrap_or_default()
+    ))
 }
 
 fn cmd_verify(
-    opts: &HashMap<String, String>,
-    obs: &Obs,
+    job: &VerifyJob,
+    ctx: &JobCtx,
+    p: &Params,
     vcd_out: Option<&str>,
 ) -> Result<(), String> {
-    // --in verifies an imported unprotected netlist; otherwise a
-    // generated design. Both run through the same synthesizer.
-    let base = match opts.get("in") {
-        Some(path) => load_netlist(path)?,
-        None => {
-            DesignSpec::parse(opts.get("design").map_or("fifo32x32", String::as_str))?.netlist()
-        }
-    };
-    let chains = get(opts, "chains", 8usize)?;
-    let code = parse_code(opts)?;
-    let tw = get(opts, "test-width", 4usize)?;
-    let mut design = Synthesizer::new(base)
-        .chains(chains)
-        .code(code)
-        .test_width(tw)
-        .build()
-        .map_err(|e| e.to_string())?;
-    if let Some(name) = opts.get("seed-bad") {
-        let surgery: Sabotage = name.parse()?;
-        apply_sabotage(&mut design, surgery).map_err(|e| e.to_string())?;
+    if let Some(surgery) = job.seed_bad {
         println!("seeded known-bad surgery: {surgery}");
     }
-    let rules = match opts.get("rules") {
-        Some(list) => {
-            let ids: Vec<&str> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            RuleSet::select(&ids).map_err(|e| e.to_string())?
-        }
-        None => RuleSet::select(&["SG205", "SG206"]).map_err(|e| e.to_string())?,
-    };
-    let deny: Severity = match opts.get("deny") {
-        Some(v) => v.parse()?,
-        None => Severity::Error,
-    };
-
-    let ctx = LintContext::with_design(&design.netlist, &design.library, design.lint_view());
-    let report = scanguard_lint::run(&ctx, &rules, obs.active());
+    let design = job.build()?;
+    let (report, rep) = job.sweep(&design, ctx)?;
     println!("{report}");
-
-    let rep = match ctx.upset_report_if_run() {
-        Some(Ok(rep)) => rep,
-        Some(Err(e)) => return Err(format!("upset engine: {e}")),
-        None => {
-            return Err(
-                "the selected rules never invoked the upset engine (need SG205 or SG206)".into(),
-            )
-        }
-    };
     println!(
         "swept {} single upsets + {} in-group bursts over {} chains x {} cells \
          ({} symbolic words, {} cycles unrolled)",
@@ -1160,7 +743,8 @@ fn cmd_verify(
             println!("verification clean: no counterexample to write to {path}");
         } else {
             let view = design.lint_view();
-            let ce = scanguard_lint::upset::counterexample(&ctx, &view, pattern)
+            let lint = LintContext::with_design(&design.netlist, &design.library, view);
+            let ce = scanguard_lint::upset::counterexample(&lint, &view, pattern)
                 .ok_or("counterexample replay failed (monitor view incomplete)")?;
             std::fs::write(path, ce.to_vcd()).map_err(|e| format!("writing {path}: {e}"))?;
             if let Some((cycle, phase)) = ce.first_divergence() {
@@ -1171,35 +755,8 @@ fn cmd_verify(
         }
     }
 
-    if let Some(path) = opts.get("json") {
-        // One combined document: the diagnostics and the sweep report;
-        // with --metrics (and no --metrics-out) the snapshot rides along
-        // instead of interleaving with stdout.
-        let mut fields = vec![
-            ("report".to_owned(), serde::Serialize::to_value(&report)),
-            ("verify".to_owned(), serde::Serialize::to_value(rep)),
-        ];
-        if obs.metrics && obs.metrics_out.is_none() {
-            fields.push((
-                "metrics".to_owned(),
-                serde::Serialize::to_value(&obs.rec.metrics_snapshot()),
-            ));
-            obs.mark_embedded();
-        }
-        let doc = serde_json::to_string_pretty(&serde::Value::Object(fields))
-            .map_err(|e| e.to_string())?;
-        std::fs::write(path, doc).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-
-    if report.is_clean_at(deny) {
-        Ok(())
-    } else {
-        Err(format!(
-            "verification failed at or above --deny {deny} (worst: {})",
-            report.worst().map_or_else(String::new, |s| s.to_string())
-        ))
-    }
+    let verdict = verdict(&report, Some(&rep), job.deny);
+    judge(p, &verdict, "verification failed", job.deny)
 }
 
 /// Set by the SIGTERM handler; the serve loops poll it and drain.
@@ -1223,15 +780,16 @@ fn install_sigterm() {
     }
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(p: &Params) -> Result<(), String> {
     let mut cfg = ServeConfig {
-        slots: get(opts, "threads", num_threads_default())?,
-        store_dir: opts.get("store").map(std::path::PathBuf::from),
+        slots: p.usize("threads")?.unwrap_or_else(num_threads_default),
+        store_dir: p.text("store")?.map(std::path::PathBuf::from),
         ..ServeConfig::default()
     };
-    cfg.store_limits.max_entries = get(opts, "store-max-entries", cfg.store_limits.max_entries)?;
-    cfg.store_limits.max_bytes = get(opts, "store-max-bytes", cfg.store_limits.max_bytes)?;
-    cfg.sample_interval_ms = get(opts, "sample-ms", cfg.sample_interval_ms)?;
+    let limits = &mut cfg.store_limits;
+    limits.max_entries = p.usize("store-max-entries")?.unwrap_or(limits.max_entries);
+    limits.max_bytes = p.u64("store-max-bytes")?.unwrap_or(limits.max_bytes);
+    cfg.sample_interval_ms = p.u64("sample-ms")?.unwrap_or(cfg.sample_interval_ms);
     let daemon = Arc::new(Daemon::new(&cfg)?);
     install_sigterm();
     let term = Arc::new(AtomicBool::new(false));
@@ -1253,8 +811,10 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     // On the stdio transport stdout carries NDJSON responses, so the
     // bound-address announcement must go to stderr there; over TCP
     // stdout is free and scripts expect the address on it.
-    let announce_on_stdout = opts.contains_key("tcp");
-    let http = opts.get("http").cloned().map(|addr| {
+    let tcp = p.text("tcp")?;
+    let announce_on_stdout = tcp.is_some();
+    let http = p.text("http")?.map(|addr| {
+        let addr = addr.to_owned();
         let daemon = daemon.clone();
         let term = term.clone();
         std::thread::spawn(move || {
@@ -1269,7 +829,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             })
         })
     });
-    let served = match opts.get("tcp") {
+    let served = match tcp {
         Some(addr) => serve_tcp(&daemon, addr, &term, |bound| {
             // The bound address goes to stdout so scripts binding
             // port 0 can discover the ephemeral port.
@@ -1301,62 +861,12 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     served
 }
 
-fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
-    let cfg = BenchConfig {
-        quick: get(opts, "quick", false)?,
-        deterministic: get(opts, "deterministic", false)?,
-        threads: get(opts, "threads", 0usize)?,
-    };
-    let report = run_bench(&cfg)?;
-    let doc = report.to_json()?;
-    if get(opts, "json", false)? {
-        println!("{doc}");
-    } else {
-        println!(
-            "scanguard bench v{} ({} workloads{})",
-            report.version,
-            report.workloads.len(),
-            if report.deterministic {
-                ", deterministic"
-            } else {
-                ""
-            }
-        );
-        for w in &report.workloads {
-            println!(
-                "  {:<26} {:<7} {:>10.1} ms  {:>12} cycles  {:>14} cell-evals  {}",
-                w.name,
-                w.engine,
-                w.wall_ms,
-                w.cycles,
-                w.cell_evals,
-                if w.ok { "ok" } else { "FAILED" }
-            );
-        }
-        println!("  peak rss: {} bytes", report.peak_rss_bytes);
-    }
-    if let Some(path) = opts.get("out") {
-        std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if report.workloads.iter().all(|w| w.ok) {
-        Ok(())
-    } else {
-        Err("one or more bench workloads failed".into())
-    }
-}
-
-fn cmd_client(opts: &HashMap<String, String>) -> Result<(), String> {
-    let addr = opts
-        .get("connect")
+fn cmd_client(p: &Params) -> Result<(), String> {
+    let addr = p
+        .text("connect")?
         .ok_or("client needs --connect HOST:PORT")?;
-    let line = opts.get("request").ok_or("client needs --request JSON")?;
-    let timeout = match opts.get("timeout-ms") {
-        Some(v) => Some(std::time::Duration::from_millis(
-            v.parse().map_err(|_| format!("bad --timeout-ms {v:?}"))?,
-        )),
-        None => None,
-    };
+    let line = p.text("request")?.ok_or("client needs --request JSON")?;
+    let timeout = p.u64("timeout-ms")?.map(std::time::Duration::from_millis);
     let resp = scanguard_serve::request_line(addr, line, timeout)?;
     println!("{resp}");
     let value: serde::Value =
@@ -1398,25 +908,12 @@ fn print_latency_summary(resp: &serde::Value) {
     );
 }
 
-fn cmd_verilog(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_verilog(p: &Params) -> Result<(), String> {
     // --design picks any built-in generator (mesh320x320 reaches the
     // 10^5-FF import-scaling regime); the bare depth/width flags keep
     // the historical fifo-only spelling working.
-    let design = match opts.get("design") {
-        Some(spec) => {
-            let chains = get(opts, "chains", 8usize)?;
-            let code = parse_code(opts)?;
-            let tw = get(opts, "test-width", 4usize)?;
-            Synthesizer::new(DesignSpec::parse(spec)?.netlist())
-                .chains(chains)
-                .code(code)
-                .test_width(tw)
-                .build()
-                .map_err(|e| e.to_string())?
-        }
-        None => build(opts)?,
-    };
-    let v = match opts.get("style").map_or("structural", String::as_str) {
+    let design = SynthSpec::export(p)?.build()?;
+    let v = match p.text("style")?.unwrap_or("structural") {
         "structural" => scanguard_netlist::to_verilog(&design.netlist),
         "behavioral" => scanguard_netlist::to_verilog_behavioral(&design.netlist),
         other => {
@@ -1425,7 +922,7 @@ fn cmd_verilog(opts: &HashMap<String, String>) -> Result<(), String> {
             ))
         }
     };
-    match opts.get("out") {
+    match p.text("out")? {
         Some(path) => {
             std::fs::write(path, &v).map_err(|e| format!("writing {path}: {e}"))?;
             println!(
@@ -1440,48 +937,10 @@ fn cmd_verilog(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// FNV-1a over the imported source text: the daemon's store key and the
-/// in-process import-registry key, kept bit-identical so CLI and daemon
-/// cache entries line up.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Decodes a netlist from `doc`, sniffing the format from `path`'s
-/// extension: `.v` / `.sv` parse as structural Verilog (validated by
-/// construction, parse errors carry line/column and a caret snippet);
-/// anything else decodes as the JSON netlist dump, deliberately without
-/// revalidation so `lint --in` can inspect netlists the validator would
-/// reject.
-fn parse_netlist(path: &str, doc: &str) -> Result<scanguard_netlist::Netlist, String> {
-    if std::path::Path::new(path)
-        .extension()
-        .is_some_and(|e| e == "v" || e == "sv")
-    {
-        scanguard_netlist::from_verilog(doc).map_err(|e| format!("{path}: {e}"))
-    } else {
-        serde_json::from_str(doc).map_err(|e| format!("parsing {path}: {e}"))
-    }
-}
-
-/// [`parse_netlist`] plus the file read.
-fn load_netlist(path: &str) -> Result<scanguard_netlist::Netlist, String> {
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    parse_netlist(path, &doc)
-}
-
-fn cmd_import(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts
-        .get("in")
-        .ok_or("import needs a file: scanguard import design.v")?;
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+fn cmd_import(job: &ImportJob, p: &Params) -> Result<(), String> {
+    let path = p.text("in")?.unwrap_or_default();
     let t0 = std::time::Instant::now();
-    let nl = parse_netlist(path, &doc)?;
+    let nl = job.source.netlist()?;
     let wall = t0.elapsed();
     println!(
         "imported module `{}` from {path} in {:.1} ms",
@@ -1513,15 +972,8 @@ fn cmd_import(opts: &HashMap<String, String>) -> Result<(), String> {
         ),
         Err(e) => println!("  scan: none recovered ({e})"),
     }
-    if let Some(out) = opts.get("json") {
-        let doc = serde_json::to_string_pretty(&nl).map_err(|e| e.to_string())?;
-        std::fs::write(out, doc).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out}");
-    }
-    if let Some(out) = opts.get("verilog") {
-        let v = scanguard_netlist::to_verilog(&nl);
-        std::fs::write(out, &v).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out} (canonical form)");
-    }
-    Ok(())
+    write_json(p.text("json")?, &serde::Serialize::to_value(&nl))?;
+    write_out(p.text("verilog")?, || {
+        Ok(scanguard_netlist::to_verilog(&nl))
+    })
 }

@@ -14,18 +14,14 @@
 //! observations only ever appear in `status`/`metrics` responses,
 //! which are explicitly outside the contract.
 
+use crate::job::{Job, JobCtx, Params};
 use crate::protocol::{err_response, id_key, num, ok_response, ErrorCode, Request};
-use scanguard_core::{CodeChoice, Synthesizer};
-use scanguard_explore::{
-    cache_salt, explore_env, front_of, knee_point, DesignSpec, DiskStore, ExploreEnv, ExploreError,
-    Objective, SpaceReport, SpaceSpec, StoreLimits,
-};
-use scanguard_lint::{LintContext, RuleSet, Severity};
+use scanguard_explore::{cache_salt, DiskStore, StoreLimits};
 use scanguard_obs::{
     arg, to_prometheus, Lane, Level, Recorder, RecorderConfig, SeriesRates, SeriesRing,
 };
 use scanguard_par::{CancelToken, PoolBudget};
-use serde::{Number, Serialize, Value};
+use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -89,10 +85,9 @@ pub struct Daemon {
     draining: AtomicBool,
 }
 
-/// Request kinds that run real work (and therefore register for
-/// cancellation, deadlines and the drain barrier).
-const WORK_KINDS: &[&str] = &["lint", "verify", "coverage", "explore", "pareto", "import"];
-/// Request kinds answered inline from daemon state.
+/// Request kinds answered inline from daemon state (the work kinds,
+/// [`Job::KINDS`], register for cancellation, deadlines and the drain
+/// barrier).
 const CONTROL_KINDS: &[&str] = &["status", "metrics", "version", "cancel", "shutdown"];
 
 impl Daemon {
@@ -246,7 +241,7 @@ impl Daemon {
             Err((code, msg)) => return err_response(&Value::Null, code, &msg),
         };
         let known =
-            WORK_KINDS.contains(&req.kind.as_str()) || CONTROL_KINDS.contains(&req.kind.as_str());
+            Job::KINDS.contains(&req.kind.as_str()) || CONTROL_KINDS.contains(&req.kind.as_str());
         if !known {
             return err_response(
                 &req.id,
@@ -254,7 +249,7 @@ impl Daemon {
                 &format!(
                     "unknown request type {:?} (valid: {} {})",
                     req.kind,
-                    WORK_KINDS.join(" "),
+                    Job::KINDS.join(" "),
                     CONTROL_KINDS.join(" ")
                 ),
             );
@@ -267,7 +262,7 @@ impl Daemon {
             .counter(&format!("serve.requests.{}", req.kind))
             .inc();
         self.rec.begin(lane, &req.kind, 0);
-        let result = if WORK_KINDS.contains(&req.kind.as_str()) {
+        let result = if Job::KINDS.contains(&req.kind.as_str()) {
             self.run_work(&req)
         } else {
             self.run_control(&req)
@@ -304,6 +299,8 @@ impl Daemon {
                 "daemon is draining and accepts no new work".into(),
             ));
         }
+        let job = Job::parse(&req.kind, &Params::Wire(&req.body))
+            .map_err(|m| (ErrorCode::BadRequest, m))?;
         let token = CancelToken::new();
         let timed_out = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicBool::new(false));
@@ -332,15 +329,18 @@ impl Daemon {
                 }
             });
         }
-        let result = match req.kind.as_str() {
-            "lint" => self.do_lint(req),
-            "verify" => self.do_verify(req),
-            "coverage" => self.do_coverage(req),
-            "explore" => self.do_explore(req, &token),
-            "pareto" => self.do_pareto(req),
-            "import" => self.do_import(req),
-            other => unreachable!("non-work kind {other} dispatched as work"),
+        let grant = job
+            .workers(self.budget.slots())
+            .map(|want| self.budget.acquire(want));
+        let ctx = JobCtx {
+            threads: grant.as_ref().map_or(1, |g| g.threads()),
+            obs: Some(&self.rec),
+            cancel: Some(&token),
+            store: self.store.as_ref(),
+            deterministic: true,
         };
+        let result = job.run(&ctx);
+        drop(grant);
         done.store(true, Ordering::Release);
         self.inflight
             .lock()
@@ -359,364 +359,6 @@ impl Daemon {
             }
             other => other,
         }
-    }
-
-    fn do_lint(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        let failed = |m: String| (ErrorCode::Failed, m);
-        let rules = match req.str_param("rules") {
-            Some(list) => {
-                let ids: Vec<&str> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                RuleSet::select(&ids).map_err(|e| failed(e.to_string()))?
-            }
-            None => RuleSet::all(),
-        };
-        let deny: Severity = match req.str_param("deny") {
-            Some(v) => v.parse().map_err(failed)?,
-            None => Severity::Error,
-        };
-        let spec =
-            DesignSpec::parse(req.str_param("design").unwrap_or("fifo32x32")).map_err(failed)?;
-        let chains = usize_param(req, "chains", 8).map_err(failed)?;
-        let code = parse_code(req.str_param("code").unwrap_or("hamming:3")).map_err(failed)?;
-        let test_width = usize_param(req, "test_width", 4).map_err(failed)?;
-        let design = Synthesizer::new(spec.netlist())
-            .chains(chains)
-            .code(code)
-            .test_width(test_width)
-            .build()
-            .map_err(|e| failed(e.to_string()))?;
-        let report = design.lint(&rules, None);
-        Ok(Value::Object(vec![
-            ("report".to_owned(), report.to_value()),
-            ("clean".to_owned(), Value::Bool(report.is_clean_at(deny))),
-            (
-                "worst".to_owned(),
-                report
-                    .worst()
-                    .map_or(Value::Null, |s| Value::Str(s.to_string())),
-            ),
-        ]))
-    }
-
-    /// The `import` request: parse structural Verilog supplied inline
-    /// in `source`, returning a summary object (and the netlist's JSON
-    /// encoding when `netlist` is `"true"`). Results are cached in the
-    /// persistent store under the *source content hash* — re-importing
-    /// an unchanged file is a store lookup, and the entry survives
-    /// daemon restarts.
-    fn do_import(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        let failed = |m: String| (ErrorCode::Failed, m);
-        let source = req.str_param("source").ok_or((
-            ErrorCode::BadRequest,
-            "import needs a `source` string (the Verilog text)".to_owned(),
-        ))?;
-        let want_netlist = req.str_param("netlist") == Some("true");
-        let hash = fnv64(source.as_bytes());
-        let store_key = format!("import\n{hash:016x}\n{want_netlist}");
-        if let Some(store) = &self.store {
-            if let Some(doc) = store.load(&store_key) {
-                if let Ok(value) = serde_json::from_str(&doc) {
-                    return Ok(value);
-                }
-            }
-        }
-        let nl = scanguard_netlist::from_verilog(source).map_err(|e| failed(e.to_string()))?;
-        let scan = match scanguard_dft::recover_scan_chains(&nl) {
-            Ok(chains) => Value::Object(vec![
-                (
-                    "chains".to_owned(),
-                    Value::Num(Number::U(chains.width() as u64)),
-                ),
-                (
-                    "max_len".to_owned(),
-                    Value::Num(Number::U(chains.max_len() as u64)),
-                ),
-                ("se_port".to_owned(), Value::Str(chains.se_port.clone())),
-            ]),
-            Err(_) => Value::Null,
-        };
-        let mut fields = vec![
-            ("module".to_owned(), Value::Str(nl.name().to_owned())),
-            ("source_hash".to_owned(), Value::Str(format!("{hash:016x}"))),
-            (
-                "nets".to_owned(),
-                Value::Num(Number::U(nl.net_count() as u64)),
-            ),
-            (
-                "cells".to_owned(),
-                Value::Num(Number::U(nl.cell_count() as u64)),
-            ),
-            (
-                "ffs".to_owned(),
-                Value::Num(Number::U(nl.ff_count() as u64)),
-            ),
-            (
-                "inputs".to_owned(),
-                Value::Num(Number::U(nl.input_ports().len() as u64)),
-            ),
-            (
-                "outputs".to_owned(),
-                Value::Num(Number::U(nl.output_ports().len() as u64)),
-            ),
-            ("scan".to_owned(), scan),
-        ];
-        if want_netlist {
-            fields.push(("netlist".to_owned(), Serialize::to_value(&nl)));
-        }
-        let value = Value::Object(fields);
-        if let Some(store) = &self.store {
-            let doc = serde_json::to_string(&value).map_err(|e| failed(e.to_string()))?;
-            store.save(&store_key, &doc).map_err(failed)?;
-        }
-        Ok(value)
-    }
-
-    /// The `verify` request: exhaustive symbolic upset verification
-    /// (SG205/SG206) of a synthesized design. Verdicts are cached in
-    /// the persistent store under the *netlist content hash* — two
-    /// request spellings that synthesize the same netlist share one
-    /// entry, and a stored verdict survives daemon restarts.
-    fn do_verify(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        let failed = |m: String| (ErrorCode::Failed, m);
-        let ids: Vec<&str> = req
-            .str_param("rules")
-            .unwrap_or("SG205,SG206")
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let rules = RuleSet::select(&ids).map_err(|e| failed(e.to_string()))?;
-        let deny: Severity = match req.str_param("deny") {
-            Some(v) => v.parse().map_err(failed)?,
-            None => Severity::Error,
-        };
-        let spec =
-            DesignSpec::parse(req.str_param("design").unwrap_or("fifo32x32")).map_err(failed)?;
-        let chains = usize_param(req, "chains", 8).map_err(failed)?;
-        let code = parse_code(req.str_param("code").unwrap_or("hamming:3")).map_err(failed)?;
-        let test_width = usize_param(req, "test_width", 4).map_err(failed)?;
-        let design = Synthesizer::new(spec.netlist())
-            .chains(chains)
-            .code(code)
-            .test_width(test_width)
-            .build()
-            .map_err(|e| failed(e.to_string()))?;
-        let store_key = {
-            let doc = design
-                .netlist
-                .to_json()
-                .map_err(|e| failed(format!("encoding netlist: {e}")))?;
-            format!(
-                "verify\n{:016x}\n{}\n{deny}",
-                fnv64(doc.as_bytes()),
-                ids.join(",")
-            )
-        };
-        if let Some(store) = &self.store {
-            if let Some(doc) = store.load(&store_key) {
-                if let Ok(value) = serde_json::from_str(&doc) {
-                    return Ok(value);
-                }
-            }
-        }
-        // The engine is single-threaded; it still takes one budget slot
-        // so concurrent verifies share the machine with everyone else.
-        let grant = self.budget.acquire(1);
-        let ctx = LintContext::with_design(&design.netlist, &design.library, design.lint_view());
-        let report = scanguard_lint::run(&ctx, &rules, Some(&self.rec));
-        let verify = match ctx.upset_report_if_run() {
-            Some(Ok(rep)) => Serialize::to_value(rep),
-            Some(Err(e)) => return Err(failed(format!("upset engine: {e}"))),
-            None => {
-                return Err(failed(
-                    "the selected rules never invoked the upset engine (need SG205 or SG206)"
-                        .into(),
-                ))
-            }
-        };
-        drop(grant);
-        let value = Value::Object(vec![
-            ("report".to_owned(), report.to_value()),
-            ("verify".to_owned(), verify),
-            ("clean".to_owned(), Value::Bool(report.is_clean_at(deny))),
-            (
-                "worst".to_owned(),
-                report
-                    .worst()
-                    .map_or(Value::Null, |s| Value::Str(s.to_string())),
-            ),
-        ]);
-        if let Some(store) = &self.store {
-            let doc = serde_json::to_string(&value).map_err(|e| failed(e.to_string()))?;
-            store.save(&store_key, &doc).map_err(failed)?;
-        }
-        Ok(value)
-    }
-
-    fn do_coverage(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        use scanguard_dft::{
-            enumerate_faults, fault_coverage_obs, FaultSimConfig, FaultSimEngine, ScanAccess,
-        };
-        let failed = |m: String| (ErrorCode::Failed, m);
-        let depth = usize_param(req, "depth", 32).map_err(failed)?;
-        let width = usize_param(req, "width", 32).map_err(failed)?;
-        let chains = usize_param(req, "chains", 80).map_err(failed)?;
-        let code = parse_code(req.str_param("code").unwrap_or("hamming:3")).map_err(failed)?;
-        let test_width = usize_param(req, "test_width", 4).map_err(failed)?;
-        let patterns = usize_param(req, "patterns", 16).map_err(failed)?;
-        let max_faults = usize_param(req, "max_faults", 200).map_err(failed)?;
-        let want = usize_param(req, "threads", self.budget.slots()).map_err(failed)?;
-        let fifo = scanguard_designs::Fifo::generate(depth, width);
-        let design = Synthesizer::new(fifo.netlist)
-            .chains(chains)
-            .code(code)
-            .test_width(test_width)
-            .build()
-            .map_err(|e| failed(e.to_string()))?;
-        let tm = design
-            .test_mode
-            .as_ref()
-            .ok_or_else(|| failed("coverage needs a test-mode design".into()))?;
-        let scope = req.str_param("scope").unwrap_or("pgc");
-        let mut faults = enumerate_faults(&design.netlist);
-        match scope {
-            "pgc" => faults.retain(|f| f.cell.index() < design.gated_watermark),
-            "all" => {}
-            other => return Err(failed(format!("unknown scope {other:?} (pgc | all)"))),
-        }
-        // Coverage requests default to the bit-parallel engine: the
-        // report is byte-identical to scalar's (differentially tested),
-        // so only wall-clock changes — which the contract zeroes anyway.
-        let engine = match req.str_param("engine") {
-            None => FaultSimEngine::Wide,
-            Some(name) => FaultSimEngine::parse(name)
-                .ok_or_else(|| failed(format!("unknown engine {name:?} (scalar | wide)")))?,
-        };
-        let grant = self.budget.acquire(want);
-        let report = fault_coverage_obs(
-            &design.netlist,
-            ScanAccess::TestMode(&design.chains, tm),
-            &design.library,
-            &faults,
-            &FaultSimConfig {
-                patterns,
-                seed: 0xC1,
-                max_faults: Some(max_faults),
-                hold_low: design.monitor.hold_low_ports(),
-                threads: grant.threads(),
-                engine,
-            },
-            Some(&self.rec),
-        )
-        .map_err(|e| failed(e.to_string()))?;
-        drop(grant);
-        let mut value = report.to_value();
-        // Wall-clock is measurement noise; zero it so coverage
-        // responses honor the byte-identity contract.
-        if let Some(w) = value.get_mut("wall_ms") {
-            *w = Value::Num(Number::F(0.0));
-        }
-        Ok(Value::Object(vec![("coverage".to_owned(), value)]))
-    }
-
-    fn do_explore(&self, req: &Request, token: &CancelToken) -> Result<Value, (ErrorCode, String)> {
-        let failed = |m: String| (ErrorCode::Failed, m);
-        let design =
-            DesignSpec::parse(req.str_param("design").unwrap_or("fifo32x32")).map_err(failed)?;
-        let mut spec = SpaceSpec::paper(design);
-        spec.w_min = usize_param(req, "wmin", spec.w_min).map_err(failed)?;
-        spec.w_max = usize_param(req, "wmax", spec.w_max).map_err(failed)?;
-        spec.trials = req.u64_param("trials", spec.trials).map_err(failed)?;
-        if let Some(v) = req.body.get("test_width") {
-            if !matches!(v, Value::Null) {
-                let tw = v
-                    .as_u64()
-                    .ok_or_else(|| failed("parameter \"test_width\" must be an integer".into()))?;
-                spec.test_width = Some(tw as usize);
-            }
-        }
-        spec.prune = req.bool_param("prune", true).map_err(failed)?;
-        let want = usize_param(req, "threads", self.budget.slots()).map_err(failed)?;
-        let grant = self.budget.acquire(want);
-        let env = ExploreEnv {
-            threads: grant.threads(),
-            obs: Some(&self.rec),
-            cancel: Some(token),
-            store: self.store.as_ref(),
-        };
-        let report = explore_env(&spec, &env).map_err(|e| match e {
-            ExploreError::Cancelled => (ErrorCode::Cancelled, "request cancelled".to_owned()),
-            ExploreError::Failed(m) => (ErrorCode::Failed, m),
-        })?;
-        drop(grant);
-        Ok(Value::Object(vec![
-            ("report".to_owned(), report.to_value()),
-            (
-                "prune_rules".to_owned(),
-                report.prune_rule_counts().to_value(),
-            ),
-        ]))
-    }
-
-    fn do_pareto(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        let failed = |m: String| (ErrorCode::Failed, m);
-        let report_val = req
-            .body
-            .get("report")
-            .ok_or_else(|| failed("pareto needs a \"report\" object (an explore result)".into()))?;
-        let doc = serde_json::to_string(report_val).map_err(|e| failed(e.to_string()))?;
-        let report = SpaceReport::from_json(&doc).map_err(failed)?;
-        let objectives = match req.str_param("objectives") {
-            Some(list) => Objective::parse_list(list).map_err(failed)?,
-            None => vec![Objective::AreaOverheadPct, Objective::LatencyNs],
-        };
-        let recommend = req.bool_param("recommend", false).map_err(failed)?;
-        let weights: Vec<f64> = match req.str_param("weights") {
-            Some(list) => list
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|_| failed(format!("bad weight {s:?}")))
-                })
-                .collect::<Result<_, _>>()?,
-            None => vec![1.0; objectives.len()],
-        };
-        let front = front_of(&report.points, &objectives);
-        let front_ids: Vec<Value> = front
-            .iter()
-            .map(|&i| num(report.points[i].id as u64))
-            .collect();
-        let names: Vec<Value> = objectives
-            .iter()
-            .map(|o| Value::Str(o.name().to_owned()))
-            .collect();
-        let recommendation = if recommend {
-            let knee = knee_point(&report.points, &front, &objectives, &weights)
-                .ok_or_else(|| failed("empty front, nothing to recommend".into()))?;
-            let p = &report.points[knee];
-            Value::Object(vec![
-                ("id".to_owned(), num(p.id as u64)),
-                ("code".to_owned(), Value::Str(p.code.clone())),
-                ("chains".to_owned(), num(p.chains as u64)),
-                ("wake".to_owned(), Value::Str(p.wake.clone())),
-            ])
-        } else {
-            Value::Null
-        };
-        Ok(Value::Object(vec![
-            ("front".to_owned(), Value::Array(front_ids)),
-            ("objectives".to_owned(), Value::Array(names)),
-            ("recommend".to_owned(), recommendation),
-            (
-                "prune_rules".to_owned(),
-                report.prune_rule_counts().to_value(),
-            ),
-        ]))
     }
 
     // -------------------------------------------------- control requests
@@ -838,49 +480,6 @@ impl Daemon {
             )),
         }
     }
-}
-
-/// A `usize` request parameter with a default.
-fn usize_param(req: &Request, key: &str, default: usize) -> Result<usize, String> {
-    req.u64_param(key, default as u64).map(|v| v as usize)
-}
-
-/// FNV-1a over the netlist JSON: the content fingerprint `verify`
-/// verdicts are cached under.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Parses the wire code spelling (`crc16 | hamming:M | secded:M |
-/// parity:GW`), shared with the CLI.
-///
-/// # Errors
-///
-/// Returns a message naming the valid spellings.
-pub fn parse_code(raw: &str) -> Result<CodeChoice, String> {
-    if raw == "crc16" {
-        return Ok(CodeChoice::Crc16);
-    }
-    if let Some(m) = raw.strip_prefix("hamming:") {
-        let m: u32 = m.parse().map_err(|_| format!("bad hamming order {m:?}"))?;
-        return Ok(CodeChoice::Hamming { m });
-    }
-    if let Some(m) = raw.strip_prefix("secded:") {
-        let m: u32 = m.parse().map_err(|_| format!("bad secded order {m:?}"))?;
-        return Ok(CodeChoice::ExtendedHamming { m });
-    }
-    if let Some(gw) = raw.strip_prefix("parity:") {
-        let gw: usize = gw.parse().map_err(|_| format!("bad parity width {gw:?}"))?;
-        return Ok(CodeChoice::Parity { group_width: gw });
-    }
-    Err(format!(
-        "unknown code {raw:?} (crc16 | hamming:M | secded:M | parity:GW)"
-    ))
 }
 
 // ------------------------------------------------------------ transports
@@ -1045,6 +644,16 @@ mod tests {
         v.get("result").unwrap().clone()
     }
 
+    /// The error `(code, message)` of an error response.
+    fn error_of(resp: &str) -> (String, String) {
+        let v: Value = serde_json::from_str(resp).unwrap();
+        let field = |k: &str| {
+            let e = v.get("error").and_then(|e| e.get(k));
+            e.and_then(Value::as_str).unwrap_or_default().to_owned()
+        };
+        (field("code"), field("message"))
+    }
+
     #[test]
     fn version_reports_crate_and_salt() {
         let d = daemon();
@@ -1062,17 +671,10 @@ mod tests {
     #[test]
     fn unknown_type_and_bad_json_are_protocol_errors() {
         let d = daemon();
-        let bad: Value = serde_json::from_str(&d.handle_line("nope")).unwrap();
-        assert_eq!(bad.get("ok"), Some(&Value::Bool(false)));
-        let unk: Value =
-            serde_json::from_str(&d.handle_line(r#"{"id":2,"type":"frobnicate"}"#)).unwrap();
-        assert_eq!(
-            unk.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Value::as_str),
-            Some("unknown-type")
-        );
-        assert_eq!(unk.get("id"), Some(&num(2)));
+        assert_eq!(error_of(&d.handle_line("nope")).0, "bad-request");
+        let unk = d.handle_line(r#"{"id":2,"type":"frobnicate"}"#);
+        assert_eq!(error_of(&unk).0, "unknown-type");
+        assert!(unk.starts_with(r#"{"id":2,"#), "{unk}");
     }
 
     #[test]
@@ -1105,46 +707,70 @@ mod tests {
         assert_eq!(s.get("draining"), Some(&Value::Bool(false)));
         ok_result(&d.handle_line(r#"{"id":6,"type":"shutdown"}"#));
         assert!(d.is_draining());
-        let denied: Value = serde_json::from_str(
-            &d.handle_line(r#"{"id":7,"type":"explore","design":"fifo4x4","trials":10}"#),
-        )
-        .unwrap();
-        assert_eq!(
-            denied
-                .get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Value::as_str),
-            Some("draining")
-        );
+        let denied = d.handle_line(r#"{"id":7,"type":"explore","design":"fifo4x4","trials":10}"#);
+        assert_eq!(error_of(&denied).0, "draining");
     }
 
     #[test]
     fn timeout_deadline_produces_a_timeout_error() {
         let d = daemon();
-        let resp: Value = serde_json::from_str(&d.handle_line(
+        let resp = d.handle_line(
             r#"{"id":8,"type":"explore","design":"fifo32x32","trials":400,"timeout_ms":1}"#,
-        ))
-        .unwrap();
-        assert_eq!(
-            resp.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Value::as_str),
-            Some("timeout"),
-            "{resp:?}"
         );
+        assert_eq!(error_of(&resp).0, "timeout", "{resp}");
+    }
+
+    #[test]
+    fn wrong_parameter_types_are_bad_requests() {
+        let d = daemon();
+        for line in [
+            r#"{"id":10,"type":"lint","chains":"8"}"#,
+            r#"{"id":11,"type":"explore","design":"fifo4x4","prune":1}"#,
+        ] {
+            let (code, message) = error_of(&d.handle_line(line));
+            assert_eq!(code, "bad-request", "{line}: {message}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_bad_requests_naming_the_valid_ones() {
+        let d = daemon();
+        let (code, message) =
+            error_of(&d.handle_line(r#"{"id":12,"type":"lint","design":"fifo8x8","chain":4}"#));
+        assert_eq!(code, "bad-request", "{message}");
+        assert!(
+            message.contains("\"chain\"") && message.contains("chains code test_width"),
+            "{message}"
+        );
+        // The envelope is always allowed.
+        ok_result(&d.handle_line(
+            r#"{"id":13,"type":"lint","design":"fifo8x8","chains":8,"code":"crc16","timeout_ms":60000}"#,
+        ));
+    }
+
+    #[test]
+    fn import_returns_the_netlist_when_asked_with_a_boolean() {
+        let d = daemon();
+        let source =
+            scanguard_netlist::to_verilog(&scanguard_designs::Fifo::generate(2, 2).netlist);
+        let source = serde_json::to_string(&source).unwrap();
+        let request =
+            |netlist: &str| format!(r#"{{"type":"import","source":{source},"netlist":{netlist}}}"#);
+        let with = ok_result(&d.handle_line(&request("true")));
+        assert!(
+            with.get("netlist").and_then(|n| n.get("cells")).is_some(),
+            "{with:?}"
+        );
+        let without = ok_result(&d.handle_line(&request("false")));
+        assert!(without.get("netlist").is_none());
+        let (code, _) = error_of(&d.handle_line(&request(r#""true""#)));
+        assert_eq!(code, "bad-request");
     }
 
     #[test]
     fn cancel_names_missing_targets() {
         let d = daemon();
-        let resp: Value =
-            serde_json::from_str(&d.handle_line(r#"{"id":9,"type":"cancel","target":42}"#))
-                .unwrap();
-        assert_eq!(
-            resp.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Value::as_str),
-            Some("unknown-target")
-        );
+        let resp = d.handle_line(r#"{"id":9,"type":"cancel","target":42}"#);
+        assert_eq!(error_of(&resp).0, "unknown-target");
     }
 }

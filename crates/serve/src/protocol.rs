@@ -13,6 +13,7 @@
 //! by hand from the dynamic [`Value`] tree — which is also what keeps
 //! unknown-field detection and error codes explicit.
 
+use crate::job::Params;
 use serde::{Number, Value};
 
 /// Machine-readable failure classes, stable across releases.
@@ -108,12 +109,7 @@ impl Request {
     /// Returns a message when the value is present but not a
     /// non-negative integer.
     pub fn u64_param(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.body.get(key) {
-            None | Some(Value::Null) => Ok(default),
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| format!("parameter {key:?} must be a non-negative integer")),
-        }
+        Ok(Params::Wire(&self.body).u64(key)?.unwrap_or(default))
     }
 
     /// A boolean parameter with a default.
@@ -122,12 +118,7 @@ impl Request {
     ///
     /// Returns a message when the value is present but not a boolean.
     pub fn bool_param(&self, key: &str, default: bool) -> Result<bool, String> {
-        match self.body.get(key) {
-            None | Some(Value::Null) => Ok(default),
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| format!("parameter {key:?} must be a boolean")),
-        }
+        Ok(Params::Wire(&self.body).bool(key)?.unwrap_or(default))
     }
 }
 

@@ -588,48 +588,6 @@ fn deterministic_metrics_with_series_are_thread_count_blind() {
     server.shutdown();
 }
 
-/// ISSUE acceptance: `scanguard bench --json` twice produces
-/// byte-identical reports under `--deterministic` — proven at the
-/// binary level, stdout bytes compared.
-#[test]
-fn bench_binary_reports_are_byte_identical_under_deterministic() {
-    let run = || {
-        Command::new(env!("CARGO_BIN_EXE_scanguard"))
-            .args([
-                "bench",
-                "--quick",
-                "--json",
-                "--deterministic",
-                "--threads",
-                "2",
-            ])
-            .output()
-            .expect("bench binary runs")
-    };
-    let a = run();
-    assert!(a.status.success(), "bench exits 0");
-    let b = run();
-    assert_eq!(
-        a.stdout, b.stdout,
-        "deterministic bench must be byte-stable"
-    );
-
-    let text = String::from_utf8(a.stdout).expect("bench emits UTF-8");
-    let v: Value = serde_json::from_str(text.trim()).expect("bench emits JSON");
-    assert_eq!(
-        v.get("schema").and_then(Value::as_str),
-        Some("scanguard-bench-v1")
-    );
-    let workloads = v
-        .get("workloads")
-        .and_then(Value::as_array)
-        .expect("bench reports workloads");
-    assert!(!workloads.is_empty());
-    for w in workloads {
-        assert_eq!(w.get("ok"), Some(&Value::Bool(true)), "{w:?}");
-    }
-}
-
 /// The binary with `--http` serves Prometheus text over a real socket
 /// and survives SIGTERM with the listener closed cleanly.
 #[test]
