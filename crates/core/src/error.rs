@@ -22,6 +22,14 @@ pub enum CoreError {
     Netlist(scanguard_netlist::NetlistError),
     /// A code could not be constructed.
     Code(scanguard_codes::CodeError),
+    /// A seeded-bad surgery does not apply to the design (see
+    /// [`apply_sabotage`](crate::apply_sabotage)).
+    SabotageNotApplicable {
+        /// The surgery's `seed_bad` spelling.
+        sabotage: &'static str,
+        /// What the design lacks.
+        reason: &'static str,
+    },
     /// The linted build gate found Error-severity rule violations
     /// (see [`Synthesizer::build_linted`](crate::Synthesizer::build_linted)).
     Lint(scanguard_lint::LintReport),
@@ -40,6 +48,9 @@ impl fmt::Display for CoreError {
             CoreError::Dft(e) => write!(f, "scan insertion failed: {e}"),
             CoreError::Netlist(e) => write!(f, "netlist edit failed: {e}"),
             CoreError::Code(e) => write!(f, "code construction failed: {e}"),
+            CoreError::SabotageNotApplicable { sabotage, reason } => {
+                write!(f, "seed_bad {sabotage} does not apply: {reason}")
+            }
             CoreError::Lint(report) => {
                 write!(f, "lint gate failed: {}", report.summary())?;
                 for d in report
@@ -62,7 +73,9 @@ impl std::error::Error for CoreError {
             CoreError::Dft(e) => Some(e),
             CoreError::Netlist(e) => Some(e),
             CoreError::Code(e) => Some(e),
-            CoreError::ChainsNotGroupable { .. } | CoreError::Lint(_) => None,
+            CoreError::ChainsNotGroupable { .. }
+            | CoreError::SabotageNotApplicable { .. }
+            | CoreError::Lint(_) => None,
         }
     }
 }

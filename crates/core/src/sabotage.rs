@@ -83,18 +83,24 @@ impl FromStr for Sabotage {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Netlist`] when the edited netlist fails
-/// revalidation (it never should — the surgeries keep every net driven).
-///
-/// # Panics
-///
-/// Panics when the design has no scan chains, or for
-/// [`Sabotage::EarlyStore`] on a CRC monitor (which has no parity-store
-/// rows to mis-enable).
+/// * [`CoreError::SabotageNotApplicable`] when the design has an empty
+///   or no scan chain, for [`Sabotage::SwapGroups`] on a single chain, or for
+///   [`Sabotage::EarlyStore`] on a CRC monitor (which has no
+///   parity-store rows to mis-enable); the design is left untouched;
+/// * [`CoreError::Netlist`] when the edited netlist fails revalidation
+///   (it never should — the surgeries keep every net driven).
 pub fn apply_sabotage(design: &mut ProtectedDesign, kind: Sabotage) -> Result<(), CoreError> {
     let nl = &mut design.netlist;
     let chains = &design.chains;
-    assert!(chains.width() > 0, "sabotage needs scan chains");
+    let refuse = |reason| {
+        Err(CoreError::SabotageNotApplicable {
+            sabotage: kind.name(),
+            reason,
+        })
+    };
+    if chains.width() == 0 || chains.chains.iter().any(|c| c.cells.is_empty()) {
+        return refuse("it needs non-empty scan chains");
+    }
     match kind {
         Sabotage::DropCorrection => {
             let first = chains.chains[0].cells[0];
@@ -103,6 +109,9 @@ pub fn apply_sabotage(design: &mut ProtectedDesign, kind: Sabotage) -> Result<()
             nl.set_cell_input(first, 1, buf);
         }
         Sabotage::SwapGroups => {
+            if chains.width() < 2 {
+                return refuse("it needs two scan chains to swap");
+            }
             let stride = design.monitor.groups.get(1).map_or(1, |g| g.first_chain);
             let a = chains.chains[0].cells[0];
             let b = chains.chains[stride.min(chains.width() - 1).max(1)].cells[0];
@@ -122,10 +131,9 @@ pub fn apply_sabotage(design: &mut ProtectedDesign, kind: Sabotage) -> Result<()
                         && nl.cell(id).name().is_some_and(|n| n.starts_with("pst"))
                 })
                 .collect();
-            assert!(
-                !stores.is_empty(),
-                "early-store sabotage needs parity-store rows (CRC monitors have none)"
-            );
+            if stores.is_empty() {
+                return refuse("the monitor has no parity-store rows (CRC monitors have none)");
+            }
             let (hi, _) = nl.add_cell(GateKind::TieHi, vec![], Some("sab_early_en"));
             for id in stores {
                 nl.set_cell_input(id, 2, hi);
@@ -157,6 +165,33 @@ mod tests {
             assert_eq!(k.name().parse::<Sabotage>().unwrap(), k);
         }
         assert!("nope".parse::<Sabotage>().is_err());
+    }
+
+    #[test]
+    fn inapplicable_surgeries_are_errors_not_panics() {
+        let mut design = Synthesizer::new(bank(16))
+            .chains(4)
+            .code(CodeChoice::Crc16)
+            .build()
+            .unwrap();
+        let before = design.netlist.to_json().unwrap();
+        let err = apply_sabotage(&mut design, Sabotage::EarlyStore).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::SabotageNotApplicable {
+                    sabotage: "early-store",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("parity-store rows"), "{err}");
+        assert_eq!(
+            design.netlist.to_json().unwrap(),
+            before,
+            "a refused surgery edits nothing"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (multi-driven nets, combinational loops, stale `topo_order`) — the
 //! very netlists a linter exists for.
 
-use crate::upset::{verify_upsets, UpsetError, UpsetOptions, UpsetReport};
+use crate::upset::{sweep, SweepCells, UpsetError, UpsetOptions, UpsetReport};
 use scanguard_dft::{ScanChains, TestModeConfig};
 use scanguard_netlist::{CellId, CellLibrary, NetId, Netlist};
 use std::cell::OnceCell;
@@ -133,8 +133,9 @@ pub struct LintContext<'a> {
     topo: Result<Vec<CellId>, Vec<CellId>>,
     /// Once-per-context cache of the exhaustive upset sweep, shared by
     /// SG205 and SG206 (and the obs prune counters) so the sequential
-    /// engine runs at most once per lint run.
-    upset: OnceCell<Result<UpsetReport, UpsetError>>,
+    /// engine runs at most once per lint run — with the size of the
+    /// cone it evaluated, for the obs counters.
+    upset: OnceCell<(Result<UpsetReport, UpsetError>, Option<SweepCells>)>,
 }
 
 impl<'a> LintContext<'a> {
@@ -306,17 +307,25 @@ impl<'a> LintContext<'a> {
     pub fn upset_report(&self) -> Option<&Result<UpsetReport, UpsetError>> {
         let view = self.design?;
         view.monitor?;
-        Some(
+        let (report, _) =
             self.upset
-                .get_or_init(|| verify_upsets(self, &view, &UpsetOptions::default())),
-        )
+                .get_or_init(|| match sweep(self, &view, &UpsetOptions::default()) {
+                    Ok((report, cells)) => (Ok(report), Some(cells)),
+                    Err(e) => (Err(e), None),
+                });
+        Some(report)
     }
 
     /// The cached upset sweep, without triggering a run — for the obs
     /// layer to pull prune statistics after the rules executed.
     #[must_use]
     pub fn upset_report_if_run(&self) -> Option<&Result<UpsetReport, UpsetError>> {
-        self.upset.get()
+        self.upset.get().map(|(report, _)| report)
+    }
+
+    /// The cached sweep's cone size, without triggering a run.
+    pub(crate) fn upset_cells_if_run(&self) -> Option<SweepCells> {
+        self.upset.get().and_then(|&(_, cells)| cells)
     }
 
     /// A `n<idx> (<name>)` label for diagnostics.

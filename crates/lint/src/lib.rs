@@ -69,7 +69,9 @@ use scanguard_obs::{arg, Lane, Recorder};
 /// `lint.rule.<ID>.violations` counter each), the `lint.rules_run` /
 /// `lint.violations` totals, and — when a deep rule ran the upset
 /// engine — the `lint.upset.lanes` / `lint.upset.cycles` /
-/// `lint.upset.pruned.<reason>` fault-space statistics.
+/// `lint.upset.pruned.<reason>` fault-space statistics and the
+/// `lint.upset.live_cells` / `lint.upset.cells` size of the cone it
+/// evaluated.
 #[must_use]
 pub fn run(ctx: &LintContext<'_>, rules: &RuleSet, rec: Option<&Recorder>) -> LintReport {
     if let Some(rec) = rec {
@@ -109,6 +111,10 @@ pub fn run(ctx: &LintContext<'_>, rules: &RuleSet, rec: Option<&Recorder>) -> Li
                 rec.counter(&format!("lint.upset.pruned.{}", p.reason))
                     .add(p.skipped as u64);
             }
+        }
+        if let Some(cells) = ctx.upset_cells_if_run() {
+            rec.counter("lint.upset.live_cells").add(cells.live as u64);
+            rec.counter("lint.upset.cells").add(cells.total as u64);
         }
         rec.end(
             Lane::Main,

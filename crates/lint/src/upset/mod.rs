@@ -19,20 +19,31 @@
 //! lane come from [`GateKind::eval_word`](scanguard_netlist::GateKind),
 //! so an `X` escaping into a check signal is detected, never masked.
 //!
+//! Only the *live cone* is simulated (`cone.rs`): the cells that can
+//! reach `mon_err`, `mon_done` or a chain latch while the pass holds
+//! `se` at 1 and the functional inputs at 0. The functional logic
+//! behind the scan flops' `d` pins drops out, and the reports are
+//! byte-identical to a full-netlist settle (pinned by
+//! `tests/upset_golden.rs`). `WordSim` compiles each live cell once
+//! and evaluates it over the whole word block per settle.
+//!
 //! The fault space is pruned only where the code family makes no claim
 //! (e.g. even-weight bursts under parity are invisible by definition);
 //! every prune is counted and surfaced in the report so "verified"
 //! always means "verified or explicitly out of claim", never "silently
 //! skipped".
 
+mod cone;
 mod trace;
 
 pub use trace::{counterexample, Counterexample, CycleSample};
 
 use crate::context::{DesignView, MonitorKind, MonitorView};
 use crate::LintContext;
+use cone::LiveCone;
 use scanguard_dft::{ErrorPattern, ScanChains};
-use scanguard_netlist::{CellId, Logic, LogicWord, Netlist};
+use scanguard_netlist::{CellId, GateKind, Logic, LogicWord, NetId, Netlist};
+use std::cell::Cell;
 use std::fmt;
 
 /// Hard cap on simulator words (63 faults each) — a backstop against
@@ -234,6 +245,26 @@ pub fn verify_upsets(
     view: &DesignView<'_>,
     opts: &UpsetOptions,
 ) -> Result<UpsetReport, UpsetError> {
+    sweep(ctx, view, opts).map(|(report, _)| report)
+}
+
+/// How much of the netlist a sweep evaluated: the `lint.upset.cells`
+/// and `lint.upset.live_cells` counters, kept out of the report so its
+/// bytes do not depend on the pruning.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SweepCells {
+    /// Cells the sweep settled or clocked (the live cone).
+    pub(crate) live: usize,
+    /// Cells in the netlist.
+    pub(crate) total: usize,
+}
+
+/// [`verify_upsets`], plus the size of the cone it evaluated.
+pub(crate) fn sweep(
+    ctx: &LintContext<'_>,
+    view: &DesignView<'_>,
+    opts: &UpsetOptions,
+) -> Result<(UpsetReport, SweepCells), UpsetError> {
     let mv = view
         .monitor
         .expect("caller checks for a monitor view before sweeping");
@@ -257,9 +288,10 @@ pub fn verify_upsets(
     let singles_swept = w * l;
     let bursts_swept = lanes - singles_swept;
 
+    let cone = LiveCone::sweep(ctx, topo, &mv, chains);
     let mut driver = PassDriver::new(
         ctx.netlist(),
-        topo,
+        &cone,
         &mv,
         chains,
         view.gated_watermark,
@@ -270,11 +302,7 @@ pub fn verify_upsets(
     let active: Vec<u64> = (0..words)
         .map(|wd| {
             let used = (lanes - wd * LANES_PER_WORD).min(LANES_PER_WORD);
-            if used == 64 {
-                !0u64 << 1
-            } else {
-                ((1u64 << used) - 1) << 1
-            }
+            ((1u64 << used) - 1) << 1
         })
         .collect();
     let mut detected = vec![0u64; words];
@@ -399,7 +427,11 @@ pub fn verify_upsets(
         }
     }
 
-    Ok(UpsetReport {
+    let cells = SweepCells {
+        live: cone.cells(),
+        total: ctx.netlist().cell_count(),
+    };
+    let report = UpsetReport {
         design: ctx.netlist().name().to_owned(),
         code: code_name(mv.kind).to_owned(),
         chains: w,
@@ -412,7 +444,8 @@ pub fn verify_upsets(
         pruned,
         clean_failures,
         failures,
-    })
+    };
+    Ok((report, cells))
 }
 
 fn code_name(kind: MonitorKind) -> &'static str {
@@ -559,107 +592,243 @@ impl Point {
     }
 }
 
-/// Multi-word ternary netlist evaluator: one settle serves 64 machines
-/// per word. Lane 0 of every word is the golden machine.
+/// One cell compiled for the word loop: its kind and the first `vals`
+/// row index of its output and of each input pin.
+struct Op {
+    kind: GateKind,
+    out: usize,
+    ins: [usize; 3],
+}
+
+/// A clocked cell: its capture op and the row of the net it drives.
+struct Flop {
+    /// Writes the captured value: straight into `q` for a flop that
+    /// commits in place, into a private capture row for a staged one.
+    capture: Op,
+    q: usize,
+    /// Below the watermark: holds while the chains are frozen.
+    gated: bool,
+}
+
+/// Multi-word ternary evaluator over a [`LiveCone`]: one settle serves 64
+/// machines per word. Lane 0 of every word is the golden machine.
+///
+/// `vals` holds one row of `nwords` words per live net, then one
+/// capture row per staged flop; row 0 is the shared row of every net
+/// outside the cone (all `X`), which only masked pins read.
 pub(crate) struct WordSim<'a> {
     nl: &'a Netlist,
-    topo: &'a [CellId],
     nwords: usize,
+    /// First `vals` index of each net's row.
+    row: Vec<usize>,
     vals: Vec<LogicWord>,
-    seq: Vec<CellId>,
-    caps: Vec<LogicWord>,
+    comb: Vec<Op>,
+    /// Flops that commit in place, each before every flop whose output
+    /// it reads, so none reads a value already clocked.
+    in_place: Vec<Flop>,
+    /// Flops that capture before any flop commits and commit last, in
+    /// cell order: drivers of contended nets, and flops whose reads of
+    /// each other form a cycle.
+    staged: Vec<Flop>,
     /// When `true`, sequential cells below the watermark (the
     /// power-gated domain: the retention chains) hold on clock edges —
     /// the controller's clock gating during clear/capture cycles.
     frozen: bool,
-    watermark: usize,
 }
 
 impl<'a> WordSim<'a> {
-    fn new(nl: &'a Netlist, topo: &'a [CellId], nwords: usize, watermark: usize) -> Self {
-        let seq: Vec<CellId> = nl
-            .cells()
-            .filter(|(_, c)| c.kind().is_sequential())
-            .map(|(id, _)| id)
+    fn new(nl: &'a Netlist, cone: &LiveCone, nwords: usize, watermark: usize) -> Self {
+        let mut row = vec![0usize; nl.net_count()];
+        let mut rows = 1;
+        for (r, live) in row.iter_mut().zip(&cone.live_net) {
+            if *live {
+                *r = rows * nwords;
+                rows += 1;
+            }
+        }
+        let op = |id: CellId, out: usize| {
+            let cell = nl.cell(id);
+            let mut ins = [0; 3];
+            for (slot, n) in ins.iter_mut().zip(cell.inputs()) {
+                *slot = row[n.index()];
+            }
+            Op {
+                kind: cell.kind(),
+                out,
+                ins,
+            }
+        };
+        let comb = cone
+            .comb
+            .iter()
+            .map(|&id| op(id, row[nl.cell(id).output().index()]))
+            .collect();
+
+        let (order, staged) = commit_order(nl, cone);
+        let flop = |i: usize, capture_row: Option<usize>| {
+            let id = cone.seq[i];
+            let q = row[nl.cell(id).output().index()];
+            Flop {
+                capture: op(id, capture_row.unwrap_or(q)),
+                q,
+                gated: id.index() < watermark,
+            }
+        };
+        let in_place: Vec<Flop> = order.iter().map(|&i| flop(i, None)).collect();
+        let staged: Vec<Flop> = staged
+            .iter()
+            .enumerate()
+            .map(|(k, &i)| flop(i, Some((rows + k) * nwords)))
             .collect();
         WordSim {
             nl,
-            topo,
             nwords,
-            vals: vec![LogicWord::ALL_X; nl.net_count() * nwords],
-            caps: vec![LogicWord::ZERO; seq.len() * nwords],
-            seq,
+            vals: vec![LogicWord::ALL_X; (rows + staged.len()) * nwords],
+            row,
+            comb,
+            in_place,
+            staged,
             frozen: false,
-            watermark,
         }
     }
 
     /// Reads one word of a net.
-    pub(crate) fn word(&self, net: scanguard_netlist::NetId, wd: usize) -> LogicWord {
-        self.vals[net.index() * self.nwords + wd]
+    pub(crate) fn word(&self, net: NetId, wd: usize) -> LogicWord {
+        self.vals[self.row[net.index()] + wd]
     }
 
     /// The output net of a cell.
-    pub(crate) fn cell_output(&self, cell: CellId) -> scanguard_netlist::NetId {
+    pub(crate) fn cell_output(&self, cell: CellId) -> NetId {
         self.nl.cell(cell).output()
     }
 
-    fn set_all(&mut self, net: scanguard_netlist::NetId, level: Logic) {
-        let base = net.index() * self.nwords;
-        let w = LogicWord::splat(level);
-        for i in 0..self.nwords {
-            self.vals[base + i] = w;
+    fn set_all(&mut self, net: NetId, level: Logic) {
+        let base = self.row[net.index()];
+        if base != 0 {
+            self.vals[base..base + self.nwords].fill(LogicWord::splat(level));
         }
     }
 
-    fn set_lane(&mut self, net: scanguard_netlist::NetId, wd: usize, lane: usize, level: Logic) {
-        self.vals[net.index() * self.nwords + wd].set_lane(lane, level);
+    fn set_lane(&mut self, net: NetId, wd: usize, lane: usize, level: Logic) {
+        self.vals[self.row[net.index()] + wd].set_lane(lane, level);
     }
 
-    /// One full topological settle of the combinational fabric.
+    /// One topological settle of the cone's combinational cells.
     fn settle(&mut self) {
-        let nw = self.nwords;
-        let mut ins = [LogicWord::ZERO; 3];
-        for &id in self.topo {
-            let cell = self.nl.cell(id);
-            let kind = cell.kind();
-            let inputs = cell.inputs();
-            let out = cell.output().index() * nw;
-            for wd in 0..nw {
-                for (k, n) in inputs.iter().enumerate() {
-                    ins[k] = self.vals[n.index() * nw + wd];
-                }
-                self.vals[out + wd] = kind.eval_word(&ins[..inputs.len()]);
-            }
+        for op in &self.comb {
+            eval_rows(&mut self.vals, self.nwords, op);
         }
     }
 
-    /// One clock edge: every sequential cell captures its settled input
-    /// (frozen gated cells hold), then all outputs commit at once.
+    /// One clock edge: every flop captures its settled input (frozen
+    /// gated flops hold), as if all outputs committed at once.
     fn tick(&mut self) {
         let nw = self.nwords;
-        let mut ins = [LogicWord::ZERO; 3];
-        for (si, &id) in self.seq.iter().enumerate() {
-            let cell = self.nl.cell(id);
-            let hold = self.frozen && id.index() < self.watermark;
-            let out = cell.output().index() * nw;
-            for wd in 0..nw {
-                self.caps[si * nw + wd] = if hold {
-                    self.vals[out + wd]
-                } else {
-                    let inputs = cell.inputs();
-                    for (k, n) in inputs.iter().enumerate() {
-                        ins[k] = self.vals[n.index() * nw + wd];
-                    }
-                    cell.kind().eval_word(&ins[..inputs.len()])
-                };
+        let frozen = self.frozen;
+        for f in &self.staged {
+            if frozen && f.gated {
+                self.vals.copy_within(f.q..f.q + nw, f.capture.out);
+            } else {
+                eval_rows(&mut self.vals, nw, &f.capture);
             }
         }
-        for (si, &id) in self.seq.iter().enumerate() {
-            let out = self.nl.cell(id).output().index() * nw;
-            self.vals[out..out + nw].copy_from_slice(&self.caps[si * nw..si * nw + nw]);
+        for f in self.in_place.iter().filter(|f| !(frozen && f.gated)) {
+            eval_rows(&mut self.vals, nw, &f.capture);
+        }
+        for f in &self.staged {
+            let cap = f.capture.out;
+            self.vals.copy_within(cap..cap + nw, f.q);
         }
     }
+}
+
+/// Splits the cone's flops (indices into `cone.seq`) into those that
+/// commit in place, in update order, and the staged rest, in cell order.
+///
+/// A flop that is its net's only driver may overwrite its output once
+/// every flop reading that output has clocked: Kahn order over the
+/// flop-reads-flop edges. Drivers of contended nets keep the
+/// last-writer order of a two-phase commit, and flops whose reads form
+/// a cycle need one, so both are staged.
+fn commit_order(nl: &Netlist, cone: &LiveCone) -> (Vec<usize>, Vec<usize>) {
+    let seq = &cone.seq;
+    let mut drivers = vec![0u32; nl.net_count()];
+    for &id in cone.comb.iter().chain(seq) {
+        drivers[nl.cell(id).output().index()] += 1;
+    }
+    let mut flop_of = vec![usize::MAX; nl.net_count()];
+    for (i, &id) in seq.iter().enumerate() {
+        let q = nl.cell(id).output().index();
+        if drivers[q] == 1 {
+            flop_of[q] = i;
+        }
+    }
+    let sole = |i: usize| flop_of[nl.cell(seq[i]).output().index()] == i;
+    let mut reads: Vec<Vec<usize>> = vec![Vec::new(); seq.len()];
+    let mut readers = vec![0u32; seq.len()];
+    for i in (0..seq.len()).filter(|&i| sole(i)) {
+        for n in nl.cell(seq[i]).inputs() {
+            let g = flop_of[n.index()];
+            if g != usize::MAX && g != i {
+                reads[i].push(g);
+                readers[g] += 1;
+            }
+        }
+    }
+    let mut ready: Vec<usize> = (0..seq.len())
+        .filter(|&i| sole(i) && readers[i] == 0)
+        .collect();
+    let mut order = Vec::with_capacity(seq.len());
+    let mut placed = vec![false; seq.len()];
+    while let Some(f) = ready.pop() {
+        order.push(f);
+        placed[f] = true;
+        for &g in &reads[f] {
+            readers[g] -= 1;
+            if readers[g] == 0 {
+                ready.push(g);
+            }
+        }
+    }
+    let staged = (0..seq.len()).filter(|&i| !placed[i]).collect();
+    (order, staged)
+}
+
+/// Evaluates `op` over a block of `nw` words: the kind is matched once,
+/// then [`GateKind::eval_word`] runs in a loop specialized to it.
+fn eval_rows(vals: &mut [LogicWord], nw: usize, op: &Op) {
+    // The rows share one buffer, so they are read and written as cells.
+    // An output row is either disjoint from every input row or, for a
+    // flop reading its own output in place, the same row: each word is
+    // read before it is written.
+    let vals = Cell::from_mut(vals).as_slice_of_cells();
+    let row = |at: usize| &vals[at..at + nw];
+    let out = row(op.out);
+    fn rows<const N: usize>(
+        out: &[Cell<LogicWord>],
+        ins: [&[Cell<LogicWord>]; N],
+        eval: impl Fn(&[LogicWord; N]) -> LogicWord,
+    ) {
+        assert!(ins.iter().all(|r| r.len() == out.len()));
+        for (wd, o) in out.iter().enumerate() {
+            o.set(eval(&std::array::from_fn(|k| ins[k][wd].get())));
+        }
+    }
+    macro_rules! dispatch {
+        ($($kind:ident / $n:literal)*) => {
+            match op.kind {
+                $(GateKind::$kind => rows::<$n>(
+                    out,
+                    std::array::from_fn(|k| row(op.ins[k])),
+                    |x| GateKind::$kind.eval_word(x),
+                ),)*
+            }
+        };
+    }
+    dispatch!(
+        TieLo/0 TieHi/0 Buf/1 Not/1 And2/2 And3/3 Nand2/2 Or2/2 Or3/3 Nor2/2
+        Xor2/2 Xor3/3 Xnor2/2 Mux2/3 Dff/1 Sdff/3 Rdff/1 Rsdff/3
+    );
 }
 
 /// Drives one full monitor pass over a [`WordSim`], calling an observer
@@ -677,14 +846,14 @@ pub(crate) struct PassDriver<'a> {
 impl<'a> PassDriver<'a> {
     pub(crate) fn new(
         nl: &'a Netlist,
-        topo: &'a [CellId],
+        cone: &LiveCone,
         mv: &MonitorView,
         chains: &'a ScanChains,
         watermark: usize,
         nwords: usize,
     ) -> Self {
         PassDriver {
-            sim: WordSim::new(nl, topo, nwords, watermark),
+            sim: WordSim::new(nl, cone, nwords, watermark),
             mv: *mv,
             chains,
             l: mv.chain_len,

@@ -10,7 +10,7 @@
 //! scan-outs), giving the pattern + cycle + witness-path evidence the
 //! rules attach to diagnostics and the CLI exports as VCD.
 
-use super::{retained_state, PassDriver, Point};
+use super::{retained_state, LiveCone, PassDriver, Point};
 use crate::context::DesignView;
 use crate::LintContext;
 use scanguard_dft::ErrorPattern;
@@ -108,7 +108,8 @@ pub fn counterexample(
         watch(format!("so{c}"), chains.chains[c].so);
     }
 
-    let mut driver = PassDriver::new(nl, topo, &mv, chains, view.gated_watermark, 1);
+    let cone = LiveCone::full(ctx, topo);
+    let mut driver = PassDriver::new(nl, &cone, &mv, chains, view.gated_watermark, 1);
     let mut samples: Vec<CycleSample> = Vec::new();
     let mut witness: Vec<String> = Vec::new();
     driver.run(&state, &faults, |point, cycle, sim| {

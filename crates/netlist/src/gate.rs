@@ -178,6 +178,7 @@ impl GateKind {
     /// Panics if `inputs.len()` differs from [`Self::input_count`], like
     /// [`Self::eval`].
     #[must_use]
+    #[inline]
     pub fn eval_word(self, inputs: &[LogicWord]) -> LogicWord {
         assert_eq!(
             inputs.len(),
@@ -257,6 +258,65 @@ impl GateKind {
             }
         }
         out
+    }
+
+    /// The input pins whose level cannot reach the output, given the
+    /// sets the inputs can take — bit `k` set means pin `k` is masked.
+    ///
+    /// The masked pins are masked *jointly*: for every assignment of
+    /// the unmasked pins within their sets, the output is the same for
+    /// every `{0, 1, X}` level of every masked pin at once. A scan flop
+    /// whose `se` is `{1}` never reads `d`; a mux with a constant
+    /// select reads one arm. Pins that only mask each other are not
+    /// both dropped: an AND with two `{0}` inputs masks one of them,
+    /// since the other alone decides the output.
+    ///
+    /// Pins are tried greedily in pin order, so the result is maximal
+    /// but not necessarily maximum. Any empty input set masks nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from [`Self::input_count`], like
+    /// [`Self::eval`].
+    #[must_use]
+    pub fn masked_pins(self, inputs: &[LogicSet]) -> u8 {
+        let n = self.input_count();
+        assert_eq!(
+            inputs.len(),
+            n,
+            "{self:?} expects {n} inputs, got {}",
+            inputs.len()
+        );
+        if inputs.iter().any(|s| s.is_empty()) {
+            return 0;
+        }
+        let masks_jointly = |mask: u8| {
+            let mut combo = [Logic::Zero; 3];
+            let mut pinned = [Logic::Zero; 3];
+            for idx in 0..3usize.pow(n as u32) {
+                let mut rem = idx;
+                let mut live = true;
+                for pin in 0..n {
+                    combo[pin] = Logic::ALL[rem % 3];
+                    rem /= 3;
+                    let masked = mask & (1 << pin) != 0;
+                    live &= masked || inputs[pin].contains(combo[pin]);
+                    // The reference point: masked pins at 0.
+                    pinned[pin] = if masked { Logic::Zero } else { combo[pin] };
+                }
+                if live && self.eval(&combo[..n]) != self.eval(&pinned[..n]) {
+                    return false;
+                }
+            }
+            true
+        };
+        let mut mask = 0u8;
+        for pin in 0..n {
+            if masks_jointly(mask | (1 << pin)) {
+                mask |= 1 << pin;
+            }
+        }
+        mask
     }
 
     /// Short library-style cell name (e.g. `"ND2"`), used in reports.
@@ -438,6 +498,117 @@ mod tests {
             GateKind::And2.eval_set(&[LogicSet::EMPTY, LogicSet::ANY]),
             LogicSet::EMPTY
         );
+    }
+
+    /// `true` when, for every assignment of the pins outside `mask`
+    /// within their sets, the output is one value over every ternary
+    /// level of the pins in `mask`.
+    fn jointly_masked(kind: GateKind, sets: &[LogicSet], mask: u8) -> bool {
+        let n = sets.len();
+        let levels = |pin: usize| -> Vec<Logic> {
+            if mask & (1 << pin) != 0 {
+                Logic::ALL.to_vec()
+            } else {
+                sets[pin].iter().collect()
+            }
+        };
+        // Group every input combination by its unmasked levels.
+        let mut seen: Vec<(Vec<Logic>, Logic)> = Vec::new();
+        let mut combo = vec![Logic::Zero; n];
+        let choices: Vec<Vec<Logic>> = (0..n).map(levels).collect();
+        let total: usize = choices.iter().map(Vec::len).product();
+        for idx in 0..total {
+            let mut rem = idx;
+            for pin in 0..n {
+                combo[pin] = choices[pin][rem % choices[pin].len()];
+                rem /= choices[pin].len();
+            }
+            let key: Vec<Logic> = (0..n)
+                .map(|p| {
+                    if mask & (1 << p) != 0 {
+                        Logic::Zero
+                    } else {
+                        combo[p]
+                    }
+                })
+                .collect();
+            let out = kind.eval(&combo);
+            match seen.iter().find(|(k, _)| *k == key) {
+                Some(&(_, first)) if first != out => return false,
+                Some(_) => {}
+                None => seen.push((key, out)),
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn masked_pins_are_jointly_masked_and_maximal_exhaustively() {
+        let nonempty: Vec<LogicSet> = (1u8..8)
+            .map(|m| {
+                Logic::ALL
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(bit, _)| m & (1 << bit) != 0)
+                    .fold(LogicSet::EMPTY, |s, (_, l)| s.union(LogicSet::singleton(l)))
+            })
+            .collect();
+        for kind in GateKind::ALL {
+            let n = kind.input_count();
+            for idx in 0..7usize.pow(n as u32) {
+                let mut rem = idx;
+                let sets: Vec<LogicSet> = (0..n)
+                    .map(|_| {
+                        let s = nonempty[rem % 7];
+                        rem /= 7;
+                        s
+                    })
+                    .collect();
+                let mask = kind.masked_pins(&sets);
+                assert!(
+                    mask < 1 << n,
+                    "{kind:?}: mask {mask:#b} names a missing pin"
+                );
+                assert!(
+                    jointly_masked(kind, &sets, mask),
+                    "{kind:?} on {sets:?}: pins {mask:#b} are not jointly masked"
+                );
+                for pin in (0..n).filter(|&p| mask & (1 << p) == 0) {
+                    assert!(
+                        !jointly_masked(kind, &sets, mask | (1 << pin)),
+                        "{kind:?} on {sets:?}: pin {pin} could join mask {mask:#b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_pins_follow_controlling_values() {
+        use LogicSet as S;
+        // A scan flop with se pinned high never reads d: [d, si, se].
+        assert_eq!(
+            GateKind::Rsdff.masked_pins(&[S::ANY, S::ANY, S::ONE]),
+            0b001
+        );
+        assert_eq!(
+            GateKind::Sdff.masked_pins(&[S::ANY, S::ANY, S::ZERO]),
+            0b010
+        );
+        // A mux with a constant select reads one arm: [sel, a, b].
+        assert_eq!(
+            GateKind::Mux2.masked_pins(&[S::ZERO, S::ANY, S::ANY]),
+            0b100
+        );
+        assert_eq!(GateKind::Mux2.masked_pins(&[S::ONE, S::ANY, S::ANY]), 0b010);
+        assert_eq!(GateKind::And2.masked_pins(&[S::ZERO, S::ANY]), 0b10);
+        assert_eq!(GateKind::Or3.masked_pins(&[S::ANY, S::ONE, S::ANY]), 0b101);
+        // Pairwise masking keeps one pin: either zero decides the AND.
+        assert_eq!(GateKind::And2.masked_pins(&[S::ZERO, S::ZERO]), 0b01);
+        // XOR is strict; unknown inputs mask nothing.
+        assert_eq!(GateKind::Xor2.masked_pins(&[S::ZERO, S::ONE]), 0);
+        assert_eq!(GateKind::And2.masked_pins(&[S::ANY, S::ANY]), 0);
+        assert_eq!(GateKind::And2.masked_pins(&[S::EMPTY, S::ZERO]), 0);
     }
 
     #[test]

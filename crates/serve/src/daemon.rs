@@ -90,6 +90,15 @@ pub struct Daemon {
 /// barrier).
 const CONTROL_KINDS: &[&str] = &["status", "metrics", "version", "cancel", "shutdown"];
 
+/// The parameters a control kind takes, checked like a job's keys.
+fn control_keys(kind: &str) -> &'static str {
+    match kind {
+        "metrics" => "series deterministic window_ms",
+        "cancel" => "target",
+        _ => "",
+    }
+}
+
 impl Daemon {
     /// Builds a daemon, opening (or creating) the persistent store when
     /// one is configured.
@@ -364,9 +373,12 @@ impl Daemon {
     // -------------------------------------------------- control requests
 
     fn run_control(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
+        let p = Params::Wire(&req.body);
+        p.check(&req.kind, control_keys(&req.kind))
+            .map_err(|m| (ErrorCode::BadRequest, m))?;
         match req.kind.as_str() {
             "status" => Ok(self.status()),
-            "metrics" => self.metrics(req),
+            "metrics" => self.metrics(&p).map_err(|m| (ErrorCode::BadRequest, m)),
             "version" => Ok(self.version()),
             "cancel" => self.cancel(req),
             "shutdown" => {
@@ -386,11 +398,10 @@ impl Daemon {
     /// `"deterministic": true` — volatile sections dropped, rates
     /// zeroed with their key shape kept, so the payload is
     /// byte-identical across thread counts and cache temperatures.
-    fn metrics(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        let bad = |m: String| (ErrorCode::BadRequest, m);
-        let want_series = req.bool_param("series", false).map_err(bad)?;
-        let deterministic = req.bool_param("deterministic", false).map_err(bad)?;
-        let window_ms = req.u64_param("window_ms", 10_000).map_err(bad)?;
+    fn metrics(&self, p: &Params) -> Result<Value, String> {
+        let want_series = p.bool("series")?.unwrap_or(false);
+        let deterministic = p.bool("deterministic")?.unwrap_or(false);
+        let window_ms = p.u64("window_ms")?.unwrap_or(10_000);
         let snap = self.rec.metrics_snapshot();
         let mut fields = if deterministic {
             vec![
@@ -460,10 +471,21 @@ impl Daemon {
     }
 
     fn cancel(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
-        let target = req.body.get("target").ok_or((
-            ErrorCode::BadRequest,
-            "cancel needs a \"target\" id".to_owned(),
-        ))?;
+        let target = match req.body.get("target") {
+            None => {
+                return Err((
+                    ErrorCode::BadRequest,
+                    "cancel needs a \"target\" id".to_owned(),
+                ))
+            }
+            Some(Value::Array(_) | Value::Object(_)) => {
+                return Err((
+                    ErrorCode::BadRequest,
+                    "parameter \"target\" must be a request id (a JSON scalar)".to_owned(),
+                ))
+            }
+            Some(target) => target,
+        };
         let key = id_key(target);
         let registry = self.inflight.lock().expect("inflight registry");
         match registry.get(&key) {
@@ -765,6 +787,60 @@ mod tests {
         assert!(without.get("netlist").is_none());
         let (code, _) = error_of(&d.handle_line(&request(r#""true""#)));
         assert_eq!(code, "bad-request");
+    }
+
+    #[test]
+    fn inapplicable_seed_bad_is_answered_and_leaves_nothing_in_flight() {
+        let d = daemon();
+        let (code, message) = error_of(&d.handle_line(
+            r#"{"id":14,"type":"verify","design":"fifo8x8","code":"crc16","seed_bad":"early-store"}"#,
+        ));
+        assert_eq!(code, "failed", "{message}");
+        assert!(message.contains("early-store does not apply"), "{message}");
+        let s = ok_result(&d.handle_line(r#"{"id":15,"type":"status"}"#));
+        assert_eq!(s.get("inflight"), Some(&num(0)));
+    }
+
+    #[test]
+    fn control_requests_reject_unknown_keys_and_wrong_types() {
+        let d = daemon();
+        for (line, valid) in [
+            (
+                r#"{"id":16,"type":"status","verbose":true}"#,
+                "(valid: none)",
+            ),
+            (r#"{"id":17,"type":"version","x":1}"#, "(valid: none)"),
+            (r#"{"id":18,"type":"shutdown","now":true}"#, "(valid: none)"),
+            (
+                r#"{"id":19,"type":"metrics","determinstic":true}"#,
+                "(valid: series deterministic window_ms)",
+            ),
+            (
+                r#"{"id":20,"type":"cancel","target":1,"force":true}"#,
+                "(valid: target)",
+            ),
+        ] {
+            let (code, message) = error_of(&d.handle_line(line));
+            assert_eq!(code, "bad-request", "{line}: {message}");
+            assert!(message.starts_with("unknown parameter"), "{message}");
+            assert!(message.ends_with(valid), "{line}: {message}");
+        }
+        for line in [
+            r#"{"id":21,"type":"metrics","series":"yes"}"#,
+            r#"{"id":22,"type":"metrics","window_ms":-5}"#,
+            r#"{"id":23,"type":"cancel","target":[1]}"#,
+        ] {
+            let (code, message) = error_of(&d.handle_line(line));
+            assert_eq!(code, "bad-request", "{line}: {message}");
+            assert!(message.contains("must be"), "{line}: {message}");
+        }
+        assert!(!d.is_draining(), "a rejected shutdown does not drain");
+        // The envelope and every documented key stay valid.
+        ok_result(&d.handle_line(r#"{"type":"metrics","deterministic":true}"#));
+        ok_result(&d.handle_line(
+            r#"{"id":24,"type":"metrics","series":true,"window_ms":500,"timeout_ms":100}"#,
+        ));
+        ok_result(&d.handle_line(r#"{"type":"status"}"#));
     }
 
     #[test]

@@ -70,10 +70,11 @@ impl<'a> Params<'a> {
         match *self {
             Params::Wire(body) => {
                 let fields = body.as_object().map_or(&[][..], Vec::as_slice);
-                let valid = |k: &str| keys.split(' ').chain(ENVELOPE).any(|v| v == k);
+                let valid = |k: &str| keys.split_whitespace().chain(ENVELOPE).any(|v| v == k);
                 match fields.iter().find(|(k, _)| !valid(k)) {
                     Some((bad, _)) => Err(format!(
-                        "unknown parameter {bad:?} for {kind} (valid: {keys})"
+                        "unknown parameter {bad:?} for {kind} (valid: {})",
+                        if keys.is_empty() { "none" } else { keys }
                     )),
                     None => Ok(()),
                 }
