@@ -71,12 +71,13 @@ pub struct Fault {
 /// differential tests); they differ only in wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultSimEngine {
-    /// One scalar [`Simulator`] per fault, fault-dropped (PR 2).
-    #[default]
+    /// One scalar [`Simulator`] per fault, fault-dropped: the oracle the
+    /// wide engine is tested against.
     Scalar,
     /// Bit-parallel PPSFP: one [`WideSimulator`] per group of up to 63
     /// faults — lane 0 golden, lanes 1..64 faulty, XOR against lane 0
-    /// giving detection for free.
+    /// giving detection for free. The default, being the faster.
+    #[default]
     Wide,
 }
 
@@ -140,7 +141,7 @@ pub struct FaultSimConfig {
     pub threads: usize,
     /// The simulation engine. The report is identical for either choice;
     /// [`FaultSimEngine::Wide`] simulates 63 faults per settle pass.
-    /// Defaults to scalar when absent from a serialized config.
+    /// Defaults to wide when absent from a serialized config.
     pub engine: FaultSimEngine,
 }
 
@@ -152,7 +153,7 @@ impl Default for FaultSimConfig {
             max_faults: None,
             hold_low: Vec::new(),
             threads: 1,
-            engine: FaultSimEngine::Scalar,
+            engine: FaultSimEngine::default(),
         }
     }
 }
@@ -548,7 +549,7 @@ impl Tester<'_> {
     fn simulate_group(&self, faults: &[Fault], full_cycles: u64) -> Vec<FaultOutcome> {
         let lanes = faults.len();
         debug_assert!((1..=63).contains(&lanes), "group of {lanes} fault lanes");
-        let mut sim = WideSimulator::new(self.netlist, self.lib);
+        let mut sim = WideSimulator::new(self.netlist);
         if let Some(rec) = self.obs {
             sim.attach_obs(rec);
         }
@@ -564,6 +565,9 @@ impl Tester<'_> {
         let se = self.access.se();
         let per_pattern = self.length as u64 + 1;
 
+        // Every observation below settles the new inputs first, so each
+        // clock edge is a bare `tick`: a settle around it would evaluate
+        // every cell once more for nothing.
         // Bits 1..=lanes are live fault lanes; lane 0 (golden) never drops.
         let mut active: u64 = (!0u64 >> (63 - lanes)) & !1;
         let mut detected_at: Vec<Option<usize>> = vec![None; lanes];
@@ -591,7 +595,7 @@ impl Tester<'_> {
                             break 'test;
                         }
                     }
-                    sim.step();
+                    sim.tick();
                 }
                 sim.set_net(se, Logic::Zero);
                 for (&net, &v) in self.free_pi.iter().zip(&pattern.pi) {
@@ -612,7 +616,7 @@ impl Tester<'_> {
                         break 'test;
                     }
                 }
-                sim.step();
+                sim.tick();
             }
             // The final flush exposes the last capture.
             sim.set_net(se, Logic::One);
@@ -641,7 +645,7 @@ impl Tester<'_> {
                         break 'test;
                     }
                 }
-                sim.step();
+                sim.tick();
             }
         }
 
@@ -1300,7 +1304,7 @@ mod tests {
             "{\"patterns\":4,\"seed\":1,\"max_faults\":null,\"hold_low\":[],\"threads\":1}",
         )
         .unwrap();
-        assert_eq!(cfg.engine, FaultSimEngine::Scalar, "engine defaults in");
+        assert_eq!(cfg.engine, FaultSimEngine::Wide, "engine defaults in");
     }
 
     #[test]
@@ -1352,6 +1356,8 @@ mod tests {
                 &FaultSimConfig {
                     patterns: 8,
                     threads,
+                    // The scalar engine's golden run and `sim.*` counters.
+                    engine: FaultSimEngine::Scalar,
                     ..FaultSimConfig::default()
                 },
                 Some(&rec),
@@ -1388,6 +1394,8 @@ mod tests {
         let cfg = FaultSimConfig {
             patterns: 8,
             threads: 2,
+            // The scalar engine's `golden` span.
+            engine: FaultSimEngine::Scalar,
             ..FaultSimConfig::default()
         };
         let rec = Recorder::new(RecorderConfig {

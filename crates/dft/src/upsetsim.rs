@@ -101,7 +101,7 @@ pub fn monitor_pass_outcomes(
             .collect(),
         UpsetSimEngine::Wide => faults
             .chunks(63)
-            .flat_map(|chunk| wide_pass(netlist, lib, chains, ports, cfg, state, chunk))
+            .flat_map(|chunk| wide_pass(netlist, chains, ports, cfg, state, chunk))
             .collect(),
     }
 }
@@ -195,7 +195,6 @@ fn scalar_pass(
 /// around edges the gated domain must not see.
 fn wide_pass(
     netlist: &Netlist,
-    lib: &CellLibrary,
     chains: &ScanChains,
     ports: &MonitorPassPorts,
     cfg: &MonitorPassConfig,
@@ -204,7 +203,7 @@ fn wide_pass(
 ) -> Vec<UpsetOutcome> {
     assert!(chunk.len() <= 63, "one wide pass carries at most 63 faults");
     let l = chains.max_len();
-    let mut sim = WideSimulator::new(netlist, lib);
+    let mut sim = WideSimulator::new(netlist);
     for n in quiesce(netlist) {
         sim.set_net(n, Logic::Zero);
     }

@@ -25,16 +25,14 @@ use crate::LintContext;
 use scanguard_dft::ScanChains;
 use scanguard_netlist::{CellId, LogicSet, NetId};
 
-/// The cells a [`WordSim`](super::WordSim) evaluates: the live cone of
-/// the sweep, or every cell for a counterexample replay.
+/// The cells the sweep's [`WideSimulator`](scanguard_sim::WideSimulator)
+/// compiles: the live cone of the sweep, or every cell for a
+/// counterexample replay.
 pub(crate) struct LiveCone {
     /// Combinational cells to settle, in topological order.
     pub(crate) comb: Vec<CellId>,
     /// Sequential cells to clock, in cell order.
     pub(crate) seq: Vec<CellId>,
-    /// Nets whose values the simulator keeps; the others are read only
-    /// through masked pins.
-    pub(crate) live_net: Vec<bool>,
 }
 
 impl LiveCone {
@@ -49,7 +47,6 @@ impl LiveCone {
                 .filter(|(_, c)| c.kind().is_sequential())
                 .map(|(id, _)| id)
                 .collect(),
-            live_net: vec![true; nl.net_count()],
         }
     }
 
@@ -109,7 +106,6 @@ impl LiveCone {
                 .filter(|&(id, c)| c.kind().is_sequential() && live_cell[id.index()])
                 .map(|(id, _)| id)
                 .collect(),
-            live_net,
         }
     }
 

@@ -24,8 +24,9 @@
 //! `se` at 1 and the functional inputs at 0. The functional logic
 //! behind the scan flops' `d` pins drops out, and the reports are
 //! byte-identical to a full-netlist settle (pinned by
-//! `tests/upset_golden.rs`). `WordSim` compiles each live cell once
-//! and evaluates it over the whole word block per settle.
+//! `tests/upset_golden.rs`). The cone is compiled into the simulator
+//! crate's word-block engine, [`WideSimulator`], which evaluates each
+//! live cell once per settle over the whole block of words.
 //!
 //! The fault space is pruned only where the code family makes no claim
 //! (e.g. even-weight bursts under parity are invisible by definition);
@@ -42,8 +43,8 @@ use crate::context::{DesignView, MonitorKind, MonitorView};
 use crate::LintContext;
 use cone::LiveCone;
 use scanguard_dft::{ErrorPattern, ScanChains};
-use scanguard_netlist::{CellId, GateKind, Logic, LogicWord, NetId, Netlist};
-use std::cell::Cell;
+use scanguard_netlist::{Logic, LogicWord, Netlist};
+use scanguard_sim::WideSimulator;
 use std::fmt;
 
 /// Hard cap on simulator words (63 faults each) — a backstop against
@@ -311,6 +312,7 @@ pub(crate) fn sweep(
     let mut first_err: Vec<Option<usize>> = vec![None; lanes];
     let mut clean_failures: Vec<String> = Vec::new();
 
+    let nl = ctx.netlist();
     let streaming = mv.kind.streaming_check();
     let err_net = mv.err;
     let done_net = mv.done;
@@ -364,7 +366,7 @@ pub(crate) fn sweep(
             // faults are injected yet, so lane 0 speaks for all).
             for (c, chain) in chains.chains.iter().enumerate() {
                 for (d, &cell) in chain.cells.iter().enumerate() {
-                    let q = sim.cell_output(cell);
+                    let q = nl.cell(cell).output();
                     let got = sim.word(q, 0).lane(0);
                     if got != state[c][d] {
                         clean_failures.push(format!(
@@ -380,7 +382,7 @@ pub(crate) fn sweep(
             // every lane, against the retained pattern.
             for (c, chain) in chains.chains.iter().enumerate() {
                 for (d, &cell) in chain.cells.iter().enumerate() {
-                    let q = sim.cell_output(cell);
+                    let q = nl.cell(cell).output();
                     let target = if state[c][d] == Logic::One { !0u64 } else { 0 };
                     for wd in 0..words {
                         let v = sim.word(q, wd);
@@ -440,7 +442,7 @@ pub(crate) fn sweep(
         singles_swept,
         bursts_swept,
         words,
-        cycles: driver.cycle,
+        cycles: driver.cycles(),
         pruned,
         clean_failures,
         failures,
@@ -592,258 +594,20 @@ impl Point {
     }
 }
 
-/// One cell compiled for the word loop: its kind and the first `vals`
-/// row index of its output and of each input pin.
-struct Op {
-    kind: GateKind,
-    out: usize,
-    ins: [usize; 3],
-}
-
-/// A clocked cell: its capture op and the row of the net it drives.
-struct Flop {
-    /// Writes the captured value: straight into `q` for a flop that
-    /// commits in place, into a private capture row for a staged one.
-    capture: Op,
-    q: usize,
-    /// Below the watermark: holds while the chains are frozen.
-    gated: bool,
-}
-
-/// Multi-word ternary evaluator over a [`LiveCone`]: one settle serves 64
-/// machines per word. Lane 0 of every word is the golden machine.
-///
-/// `vals` holds one row of `nwords` words per live net, then one
-/// capture row per staged flop; row 0 is the shared row of every net
-/// outside the cone (all `X`), which only masked pins read.
-pub(crate) struct WordSim<'a> {
-    nl: &'a Netlist,
-    nwords: usize,
-    /// First `vals` index of each net's row.
-    row: Vec<usize>,
-    vals: Vec<LogicWord>,
-    comb: Vec<Op>,
-    /// Flops that commit in place, each before every flop whose output
-    /// it reads, so none reads a value already clocked.
-    in_place: Vec<Flop>,
-    /// Flops that capture before any flop commits and commit last, in
-    /// cell order: drivers of contended nets, and flops whose reads of
-    /// each other form a cycle.
-    staged: Vec<Flop>,
-    /// When `true`, sequential cells below the watermark (the
-    /// power-gated domain: the retention chains) hold on clock edges —
-    /// the controller's clock gating during clear/capture cycles.
-    frozen: bool,
-}
-
-impl<'a> WordSim<'a> {
-    fn new(nl: &'a Netlist, cone: &LiveCone, nwords: usize, watermark: usize) -> Self {
-        let mut row = vec![0usize; nl.net_count()];
-        let mut rows = 1;
-        for (r, live) in row.iter_mut().zip(&cone.live_net) {
-            if *live {
-                *r = rows * nwords;
-                rows += 1;
-            }
-        }
-        let op = |id: CellId, out: usize| {
-            let cell = nl.cell(id);
-            let mut ins = [0; 3];
-            for (slot, n) in ins.iter_mut().zip(cell.inputs()) {
-                *slot = row[n.index()];
-            }
-            Op {
-                kind: cell.kind(),
-                out,
-                ins,
-            }
-        };
-        let comb = cone
-            .comb
-            .iter()
-            .map(|&id| op(id, row[nl.cell(id).output().index()]))
-            .collect();
-
-        let (order, staged) = commit_order(nl, cone);
-        let flop = |i: usize, capture_row: Option<usize>| {
-            let id = cone.seq[i];
-            let q = row[nl.cell(id).output().index()];
-            Flop {
-                capture: op(id, capture_row.unwrap_or(q)),
-                q,
-                gated: id.index() < watermark,
-            }
-        };
-        let in_place: Vec<Flop> = order.iter().map(|&i| flop(i, None)).collect();
-        let staged: Vec<Flop> = staged
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| flop(i, Some((rows + k) * nwords)))
-            .collect();
-        WordSim {
-            nl,
-            nwords,
-            vals: vec![LogicWord::ALL_X; (rows + staged.len()) * nwords],
-            row,
-            comb,
-            in_place,
-            staged,
-            frozen: false,
-        }
-    }
-
-    /// Reads one word of a net.
-    pub(crate) fn word(&self, net: NetId, wd: usize) -> LogicWord {
-        self.vals[self.row[net.index()] + wd]
-    }
-
-    /// The output net of a cell.
-    pub(crate) fn cell_output(&self, cell: CellId) -> NetId {
-        self.nl.cell(cell).output()
-    }
-
-    fn set_all(&mut self, net: NetId, level: Logic) {
-        let base = self.row[net.index()];
-        if base != 0 {
-            self.vals[base..base + self.nwords].fill(LogicWord::splat(level));
-        }
-    }
-
-    fn set_lane(&mut self, net: NetId, wd: usize, lane: usize, level: Logic) {
-        self.vals[self.row[net.index()] + wd].set_lane(lane, level);
-    }
-
-    /// One topological settle of the cone's combinational cells.
-    fn settle(&mut self) {
-        for op in &self.comb {
-            eval_rows(&mut self.vals, self.nwords, op);
-        }
-    }
-
-    /// One clock edge: every flop captures its settled input (frozen
-    /// gated flops hold), as if all outputs committed at once.
-    fn tick(&mut self) {
-        let nw = self.nwords;
-        let frozen = self.frozen;
-        for f in &self.staged {
-            if frozen && f.gated {
-                self.vals.copy_within(f.q..f.q + nw, f.capture.out);
-            } else {
-                eval_rows(&mut self.vals, nw, &f.capture);
-            }
-        }
-        for f in self.in_place.iter().filter(|f| !(frozen && f.gated)) {
-            eval_rows(&mut self.vals, nw, &f.capture);
-        }
-        for f in &self.staged {
-            let cap = f.capture.out;
-            self.vals.copy_within(cap..cap + nw, f.q);
-        }
-    }
-}
-
-/// Splits the cone's flops (indices into `cone.seq`) into those that
-/// commit in place, in update order, and the staged rest, in cell order.
-///
-/// A flop that is its net's only driver may overwrite its output once
-/// every flop reading that output has clocked: Kahn order over the
-/// flop-reads-flop edges. Drivers of contended nets keep the
-/// last-writer order of a two-phase commit, and flops whose reads form
-/// a cycle need one, so both are staged.
-fn commit_order(nl: &Netlist, cone: &LiveCone) -> (Vec<usize>, Vec<usize>) {
-    let seq = &cone.seq;
-    let mut drivers = vec![0u32; nl.net_count()];
-    for &id in cone.comb.iter().chain(seq) {
-        drivers[nl.cell(id).output().index()] += 1;
-    }
-    let mut flop_of = vec![usize::MAX; nl.net_count()];
-    for (i, &id) in seq.iter().enumerate() {
-        let q = nl.cell(id).output().index();
-        if drivers[q] == 1 {
-            flop_of[q] = i;
-        }
-    }
-    let sole = |i: usize| flop_of[nl.cell(seq[i]).output().index()] == i;
-    let mut reads: Vec<Vec<usize>> = vec![Vec::new(); seq.len()];
-    let mut readers = vec![0u32; seq.len()];
-    for i in (0..seq.len()).filter(|&i| sole(i)) {
-        for n in nl.cell(seq[i]).inputs() {
-            let g = flop_of[n.index()];
-            if g != usize::MAX && g != i {
-                reads[i].push(g);
-                readers[g] += 1;
-            }
-        }
-    }
-    let mut ready: Vec<usize> = (0..seq.len())
-        .filter(|&i| sole(i) && readers[i] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(seq.len());
-    let mut placed = vec![false; seq.len()];
-    while let Some(f) = ready.pop() {
-        order.push(f);
-        placed[f] = true;
-        for &g in &reads[f] {
-            readers[g] -= 1;
-            if readers[g] == 0 {
-                ready.push(g);
-            }
-        }
-    }
-    let staged = (0..seq.len()).filter(|&i| !placed[i]).collect();
-    (order, staged)
-}
-
-/// Evaluates `op` over a block of `nw` words: the kind is matched once,
-/// then [`GateKind::eval_word`] runs in a loop specialized to it.
-fn eval_rows(vals: &mut [LogicWord], nw: usize, op: &Op) {
-    // The rows share one buffer, so they are read and written as cells.
-    // An output row is either disjoint from every input row or, for a
-    // flop reading its own output in place, the same row: each word is
-    // read before it is written.
-    let vals = Cell::from_mut(vals).as_slice_of_cells();
-    let row = |at: usize| &vals[at..at + nw];
-    let out = row(op.out);
-    fn rows<const N: usize>(
-        out: &[Cell<LogicWord>],
-        ins: [&[Cell<LogicWord>]; N],
-        eval: impl Fn(&[LogicWord; N]) -> LogicWord,
-    ) {
-        assert!(ins.iter().all(|r| r.len() == out.len()));
-        for (wd, o) in out.iter().enumerate() {
-            o.set(eval(&std::array::from_fn(|k| ins[k][wd].get())));
-        }
-    }
-    macro_rules! dispatch {
-        ($($kind:ident / $n:literal)*) => {
-            match op.kind {
-                $(GateKind::$kind => rows::<$n>(
-                    out,
-                    std::array::from_fn(|k| row(op.ins[k])),
-                    |x| GateKind::$kind.eval_word(x),
-                ),)*
-            }
-        };
-    }
-    dispatch!(
-        TieLo/0 TieHi/0 Buf/1 Not/1 And2/2 And3/3 Nand2/2 Or2/2 Or3/3 Nor2/2
-        Xor2/2 Xor3/3 Xnor2/2 Mux2/3 Dff/1 Sdff/3 Rdff/1 Rsdff/3
-    );
-}
-
-/// Drives one full monitor pass over a [`WordSim`], calling an observer
-/// after every settle — the single schedule implementation shared by
-/// the sweep and the counterexample tracer, so they can never drift.
+/// Drives one full monitor pass over a [`WideSimulator`], calling an
+/// observer after every settle — the single schedule implementation
+/// shared by the sweep and the counterexample tracer, so they can never
+/// drift.
 pub(crate) struct PassDriver<'a> {
-    pub(crate) sim: WordSim<'a>,
+    pub(crate) sim: WideSimulator<'a>,
     mv: MonitorView,
     chains: &'a ScanChains,
     l: usize,
-    /// Global cycle counter (clock edges committed so far).
-    pub(crate) cycle: usize,
 }
 
 impl<'a> PassDriver<'a> {
+    /// Compiles the cone's cells over `nwords` words; the sequential
+    /// cells below `watermark` hold while the chains are frozen.
     pub(crate) fn new(
         nl: &'a Netlist,
         cone: &LiveCone,
@@ -853,24 +617,28 @@ impl<'a> PassDriver<'a> {
         nwords: usize,
     ) -> Self {
         PassDriver {
-            sim: WordSim::new(nl, cone, nwords, watermark),
+            sim: WideSimulator::compile(nl, &cone.comb, &cone.seq, nwords, watermark),
             mv: *mv,
             chains,
             l: mv.chain_len,
-            cycle: 0,
         }
     }
 
+    /// Clock edges committed so far.
+    pub(crate) fn cycles(&self) -> usize {
+        self.sim.cycles() as usize
+    }
+
     fn drive(&mut self, en: bool, dec: bool, clr: bool) {
-        self.sim.set_all(self.mv.mon_en, Logic::from(en));
-        self.sim.set_all(self.mv.mon_decode, Logic::from(dec));
-        self.sim.set_all(self.mv.mon_clear, Logic::from(clr));
+        self.sim.set_net(self.mv.mon_en, Logic::from(en));
+        self.sim.set_net(self.mv.mon_decode, Logic::from(dec));
+        self.sim.set_net(self.mv.mon_clear, Logic::from(clr));
     }
 
     /// Runs the schedule: quiesce → load → clear → encode → (capture) →
     /// inject → clear → decode → check. Fault `i` lives in word `i/63`,
     /// lane `1 + i%63`.
-    pub(crate) fn run<F: FnMut(Point, usize, &WordSim<'a>)>(
+    pub(crate) fn run<F: FnMut(Point, usize, &WideSimulator<'a>)>(
         &mut self,
         state: &[Vec<Logic>],
         faults: &[ErrorPattern],
@@ -878,18 +646,18 @@ impl<'a> PassDriver<'a> {
     ) {
         // Quiesce every primary input, then raise scan-enable; the
         // monitor ports are driven per phase below.
-        let ports: Vec<_> = self.sim.nl.input_ports().iter().map(|(_, n)| *n).collect();
+        let nl = self.sim.netlist();
+        let ports: Vec<_> = nl.input_ports().iter().map(|(_, n)| *n).collect();
         for net in ports {
-            self.sim.set_all(net, Logic::Zero);
+            self.sim.set_net(net, Logic::Zero);
         }
-        self.sim.set_all(self.chains.se, Logic::One);
+        self.sim.set_net(self.chains.se, Logic::One);
         // Load the retained pattern into every lane of every chain
         // latch; monitor state starts at X (the clear cycles must prove
         // they re-initialize it).
         for (chain, row) in self.chains.chains.iter().zip(state) {
             for (&cell, &bit) in chain.cells.iter().zip(row) {
-                let q = self.sim.cell_output(cell);
-                self.sim.set_all(q, bit);
+                self.sim.force_ff_word(cell, LogicWord::splat(bit));
             }
         }
 
@@ -898,31 +666,31 @@ impl<'a> PassDriver<'a> {
         let dec = self.mv.kind.streaming_check();
 
         // Encode: one frozen clear cycle, then l shift cycles.
-        self.sim.frozen = true;
+        self.sim.set_frozen(true);
         self.drive(false, false, true);
         self.point(Point::EncodeClear, true, &mut observe);
-        self.sim.frozen = false;
+        self.sim.set_frozen(false);
         self.drive(true, false, false);
         for c in 0..self.l {
             self.point(Point::Encode(c), true, &mut observe);
         }
-        self.sim.frozen = true;
+        self.sim.set_frozen(true);
         self.drive(false, false, false);
         self.point(Point::AfterEncode, false, &mut observe);
 
         // CRC monitors: capture the signature with the chains frozen.
         if let Some(cap) = self.mv.sig_cap {
-            self.sim.set_all(cap, Logic::One);
+            self.sim.set_net(cap, Logic::One);
             self.point(Point::SigCapture, true, &mut observe);
-            self.sim.set_all(cap, Logic::Zero);
+            self.sim.set_net(cap, Logic::Zero);
         }
 
         // Inject: flip each fault's latch positions in its own lane.
         for (idx, fault) in faults.iter().enumerate() {
             let (wd, ln) = (idx / LANES_PER_WORD, 1 + idx % LANES_PER_WORD);
             for (c, d) in fault.flip_positions() {
-                let q = self.sim.cell_output(self.chains.chains[c].cells[d]);
-                self.sim.set_lane(q, wd, ln, !state[c][d]);
+                let cell = self.chains.chains[c].cells[d];
+                self.sim.force_ff_lane(cell, wd, ln, !state[c][d]);
             }
         }
         self.point(Point::AfterInject, false, &mut observe);
@@ -931,27 +699,26 @@ impl<'a> PassDriver<'a> {
         // then the frozen final check.
         self.drive(false, dec, true);
         self.point(Point::DecodeClear, true, &mut observe);
-        self.sim.frozen = false;
+        self.sim.set_frozen(false);
         self.drive(true, dec, false);
         for c in 0..self.l {
             self.point(Point::Decode(c), true, &mut observe);
         }
-        self.sim.frozen = true;
+        self.sim.set_frozen(true);
         self.drive(false, dec, false);
         self.point(Point::Check, false, &mut observe);
     }
 
-    fn point<F: FnMut(Point, usize, &WordSim<'a>)>(
+    fn point<F: FnMut(Point, usize, &WideSimulator<'a>)>(
         &mut self,
         p: Point,
         clocked: bool,
         observe: &mut F,
     ) {
         self.sim.settle();
-        observe(p, self.cycle, &self.sim);
+        observe(p, self.cycles(), &self.sim);
         if clocked {
             self.sim.tick();
-            self.cycle += 1;
         }
     }
 }

@@ -566,10 +566,8 @@ impl<'a> CoverageJob<'a> {
             "all" => true,
             other => return Err(format!("unknown scope {other:?} (pgc | all)")),
         };
-        // The engines are byte-identical (differentially tested); wide
-        // is simply faster, so it is the default.
         let engine = match p.text("engine")? {
-            None => FaultSimEngine::Wide,
+            None => FaultSimEngine::default(),
             Some(name) => FaultSimEngine::parse(name)
                 .ok_or_else(|| format!("unknown engine {name:?} (scalar | wide)"))?,
         };

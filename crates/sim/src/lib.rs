@@ -21,6 +21,23 @@
 //!   power" and "decoding power" in the reproduced Tables I/II come from
 //!   simulated switching activity, exactly as the paper measured them.
 //!
+//! # Two engines
+//!
+//! * [`Simulator`] — one machine, one [`Logic`](scanguard_netlist::Logic)
+//!   per net, incremental settle. It is the only engine with power
+//!   domains, RETAIN sequencing and the energy accounting that
+//!   `measure_cost` reads.
+//! * [`WideSimulator`] — a compiled word-block program: 64 machines per
+//!   word, a block of words per net, every compiled cell evaluated once
+//!   per settle. PPSFP fault simulation, the wide monitor pass and the
+//!   SG205/SG206 upset sweep of `scanguard-lint` all run on it.
+//!
+//! The scalar engine stays as the independent oracle the wide one is
+//! held to: `wide_vs_scalar.rs` and `faultsim_engine.rs` (in
+//! `scanguard-dft`) and `upset_differential.rs` (in `scanguard-core`)
+//! compare the two byte for byte, so a wide-engine bug cannot hide
+//! behind its own verdicts.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,5 +1,5 @@
-//! Struct-of-arrays netlist tables shared by the scalar and wide
-//! simulators.
+//! Struct-of-arrays netlist tables for the scalar simulator only; the
+//! wide simulator compiles its own program (`wide.rs`).
 //!
 //! [`Netlist`] stores cells as individual structs with heap-allocated
 //! input lists — fine for editing, hostile to the simulator hot loop,
@@ -8,7 +8,7 @@
 //! parallel arrays (kind, output net, flattened input nets, per-cell
 //! energy figures), split into the value plane's two populations:
 //! combinational cells in topological order and sequential cells in
-//! cell-id order. Both simulators index these arrays by *position*, so
+//! cell-id order. The simulator indexes these arrays by *position*, so
 //! the evaluation order — and therefore every value and every f64
 //! energy sum — is identical to the pre-refactor cell-by-cell walk.
 
