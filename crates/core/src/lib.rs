@@ -24,7 +24,9 @@
 //! * [`ProtectedRuntime`] — executes full sleep/wake sequences on the
 //!   gate-level simulator, with a rush-current upset hook;
 //! * [`measure_cost`] / [`CostRow`] — the Tables I–III measurements
-//!   (area, overhead %, encode/decode power, latency, energy).
+//!   (area, overhead %, encode/decode power, latency, energy);
+//! * [`sample_wake_upsets`] — the Monte-Carlo wake-event sampler behind
+//!   the upset and residual-corruption probabilities.
 //!
 //! # Examples
 //!
@@ -74,6 +76,7 @@ mod recovery;
 mod runtime;
 mod sabotage;
 mod synth;
+mod wake;
 
 pub use config::CodeChoice;
 pub use controller::{MonOutputs, MonPhase, ProposedController, ProposedTiming};
@@ -86,3 +89,4 @@ pub use recovery::{checkpoint, restore, Checkpoint, RestoreReport};
 pub use runtime::{ProtectedRuntime, SleepWakeReport};
 pub use sabotage::{apply_sabotage, Sabotage};
 pub use synth::{ProtectedDesign, Synthesizer};
+pub use wake::sample_wake_upsets;

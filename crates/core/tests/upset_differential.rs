@@ -1,14 +1,12 @@
 //! Differential oracle: the symbolic SG205/SG206 verdicts must agree
-//! bit-for-bit with gate-level fault injection on the production
-//! simulators — scalar (real clock-domain gating) and wide (PPSFP) —
-//! for every sampled upset. The prover is only trusted because it never
+//! bit-for-bit with gate-level fault injection on the scalar simulator
+//! (real clock-domain gating) for every sampled upset. The prover is only trusted because it never
 //! disagrees with simulation.
 
 use proptest::prelude::*;
 use scanguard_core::{apply_sabotage, CodeChoice, ProtectedDesign, Sabotage, Synthesizer};
 use scanguard_dft::{
     monitor_pass_outcomes, ErrorPattern, MonitorPassConfig, MonitorPassPorts, UpsetOutcome,
-    UpsetSimEngine,
 };
 use scanguard_lint::upset::{retained_state, FailKind, UpsetReport};
 use scanguard_lint::LintContext;
@@ -55,11 +53,7 @@ fn symbolic(design: &ProtectedDesign) -> UpsetReport {
         .clone()
 }
 
-fn oracle(
-    design: &ProtectedDesign,
-    faults: &[ErrorPattern],
-    engine: UpsetSimEngine,
-) -> Vec<UpsetOutcome> {
+fn oracle(design: &ProtectedDesign, faults: &[ErrorPattern]) -> Vec<UpsetOutcome> {
     let mh = &design.monitor;
     let ports = MonitorPassPorts {
         mon_en: mh.mon_en,
@@ -82,7 +76,6 @@ fn oracle(
         &cfg,
         &state,
         faults,
-        engine,
     )
 }
 
@@ -105,10 +98,8 @@ fn predicted(rep: &UpsetReport, fault: &ErrorPattern) -> (bool, Option<bool>) {
 }
 
 fn check_agreement(design: &ProtectedDesign, rep: &UpsetReport, faults: &[ErrorPattern]) {
-    let scalar = oracle(design, faults, UpsetSimEngine::Scalar);
-    let wide = oracle(design, faults, UpsetSimEngine::Wide);
-    assert_eq!(scalar, wide, "scalar and wide oracles must agree");
-    for (f, got) in faults.iter().zip(&scalar) {
+    let simulated = oracle(design, faults);
+    for (f, got) in faults.iter().zip(&simulated) {
         let (det, corr) = predicted(rep, f);
         assert_eq!(
             got.detected, det,
@@ -129,7 +120,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random single upsets on every clean code family: the exhaustive
-    /// symbolic sweep and the injecting simulators must agree.
+    /// symbolic sweep and the injecting simulator must agree.
     #[test]
     fn clean_singles_match_simulation(
         code in 0usize..4,
@@ -166,7 +157,7 @@ proptest! {
 }
 
 /// The seeded missed-correct bug: symbolic says exactly chain 0 goes
-/// uncorrected; injection on both engines must paint the same boundary,
+/// uncorrected; injection must paint the same boundary,
 /// fault for fault, over the *entire* single-upset space.
 #[test]
 fn dropped_correction_boundary_matches_simulation_exhaustively() {

@@ -182,15 +182,6 @@ impl DatapathModel {
         self.regs[r]
     }
 
-    /// Forces state (for aligning with a netlist snapshot).
-    pub fn set_state(&mut self, acc: u64, regs: &[u64]) {
-        let mask = self.mask();
-        self.acc = acc & mask;
-        for (slot, &v) in self.regs.iter_mut().zip(regs) {
-            *slot = v & mask;
-        }
-    }
-
     fn mask(&self) -> u64 {
         (1u64 << self.width) - 1
     }

@@ -166,13 +166,6 @@ impl ErrorPattern {
         }
     }
 
-    /// Applies the pattern to a plain bit matrix `state[chain][depth]`.
-    pub fn apply_to_matrix(&self, state: &mut [Vec<bool>]) {
-        for (chain, depth) in self.flip_positions() {
-            state[chain][depth] = !state[chain][depth];
-        }
-    }
-
     /// The scan cycle at which the gate-level injector must arm its
     /// column input so a full `l`-cycle circulation lands the flip at the
     /// pattern's depth: a bit flipped on entry at cycle `t` is shifted

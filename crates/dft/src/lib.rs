@@ -66,6 +66,4 @@ pub use placement::{insert_scan_placed, ChainOrder, Placement};
 pub use recover::{recover_scan_chains, recover_scan_chains_with, RecoverConfig};
 pub use scan::{insert_scan, insert_scan_ordered, FlopStyle, ScanChain, ScanChains, ScanConfig};
 pub use testmode::{configure_test_mode, TestModeConfig};
-pub use upsetsim::{
-    monitor_pass_outcomes, MonitorPassConfig, MonitorPassPorts, UpsetOutcome, UpsetSimEngine,
-};
+pub use upsetsim::{monitor_pass_outcomes, MonitorPassConfig, MonitorPassPorts, UpsetOutcome};

@@ -3,17 +3,17 @@
 //! The lint crate's symbolic upset engine (`scanguard-lint`'s SG205/
 //! SG206) proves detection and correction by unrolling the netlist
 //! through the monitor-pass schedule. This module runs the *same*
-//! schedule on the production simulators — the scalar [`Simulator`] with
-//! real clock-domain gating, or the bit-parallel [`WideSimulator`] with
-//! 63 faulted lanes per run — and reports, per injected
-//! [`ErrorPattern`], whether the pass detected the upset and whether it
-//! restored the retained state. Differential tests hold the symbolic
-//! verdicts to these outcomes bit-for-bit: the prover is only trusted
-//! because it never disagrees with simulation.
+//! schedule on the scalar [`Simulator`] with a real clock-gated chain
+//! domain — independent of the word-block engine the sweep runs on —
+//! and reports, per injected [`ErrorPattern`], whether the pass
+//! detected the upset and whether it restored the retained state.
+//! Differential tests hold the symbolic verdicts to these outcomes
+//! bit-for-bit: the prover is only trusted because it never disagrees
+//! with simulation.
 
 use crate::{ErrorPattern, ScanChains};
-use scanguard_netlist::{CellLibrary, Logic, LogicWord, NetId, Netlist};
-use scanguard_sim::{Simulator, WideSimulator};
+use scanguard_netlist::{CellLibrary, Logic, NetId, Netlist};
+use scanguard_sim::Simulator;
 
 /// The monitor-pass control and status nets, as port-level handles (this
 /// crate cannot see the monitor generator; callers pass the nets down).
@@ -54,23 +54,9 @@ pub struct UpsetOutcome {
     pub corrected: bool,
 }
 
-/// Which simulator evaluates the faulted passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpsetSimEngine {
-    /// One scalar clock-gated [`Simulator`] run per pattern.
-    #[default]
-    Scalar,
-    /// Bit-parallel: one [`WideSimulator`] run per 63 patterns, gated
-    /// domains emulated by snapshot/restore around frozen edges.
-    Wide,
-}
-
 /// Runs the monitor pass (encode → inject → decode → check) once per
 /// pattern in `faults` and reports detection/correction outcomes, in
-/// order. An empty `faults` slice runs one clean pass and returns empty.
-///
-/// Both engines produce identical outcomes (enforced by differential
-/// tests in this crate and `scanguard-core`).
+/// order, one scalar run per pattern.
 ///
 /// # Panics
 ///
@@ -86,7 +72,6 @@ pub fn monitor_pass_outcomes(
     cfg: &MonitorPassConfig,
     state: &[Vec<Logic>],
     faults: &[ErrorPattern],
-    engine: UpsetSimEngine,
 ) -> Vec<UpsetOutcome> {
     let l = chains.max_len();
     assert!(
@@ -94,16 +79,10 @@ pub fn monitor_pass_outcomes(
         "monitor pass requires equal-length chains"
     );
     assert_eq!(state.len(), chains.width(), "one state row per chain");
-    match engine {
-        UpsetSimEngine::Scalar => faults
-            .iter()
-            .map(|f| scalar_pass(netlist, lib, chains, ports, cfg, state, Some(f)))
-            .collect(),
-        UpsetSimEngine::Wide => faults
-            .chunks(63)
-            .flat_map(|chunk| wide_pass(netlist, chains, ports, cfg, state, chunk))
-            .collect(),
-    }
+    faults
+        .iter()
+        .map(|f| scalar_pass(netlist, lib, chains, ports, cfg, state, f))
+        .collect()
 }
 
 fn quiesce(netlist: &Netlist) -> Vec<NetId> {
@@ -111,8 +90,7 @@ fn quiesce(netlist: &Netlist) -> Vec<NetId> {
 }
 
 /// One scalar monitor pass with a real clock-gated chain domain; the
-/// reference semantics both the wide path and the symbolic engine are
-/// held to.
+/// reference semantics the symbolic engine is held to.
 fn scalar_pass(
     netlist: &Netlist,
     lib: &CellLibrary,
@@ -120,7 +98,7 @@ fn scalar_pass(
     ports: &MonitorPassPorts,
     cfg: &MonitorPassConfig,
     state: &[Vec<Logic>],
-    fault: Option<&ErrorPattern>,
+    fault: &ErrorPattern,
 ) -> UpsetOutcome {
     let l = chains.max_len();
     let mut sim = Simulator::new(netlist, lib);
@@ -159,9 +137,7 @@ fn scalar_pass(
         sim.set_net(cap, Logic::Zero);
     }
 
-    if let Some(f) = fault {
-        f.apply_direct(&mut sim, chains);
-    }
+    fault.apply_direct(&mut sim, chains);
 
     // Decode: clear (chains frozen), l shifts sampling err, final check.
     let dh = cfg.decode_high;
@@ -188,115 +164,4 @@ fn scalar_pass(
         detected,
         corrected,
     }
-}
-
-/// One wide monitor pass: lane 0 golden, lane `1 + i` carries
-/// `chunk[i]`. Freezing is emulated by snapshotting the chain flops
-/// around edges the gated domain must not see.
-fn wide_pass(
-    netlist: &Netlist,
-    chains: &ScanChains,
-    ports: &MonitorPassPorts,
-    cfg: &MonitorPassConfig,
-    state: &[Vec<Logic>],
-    chunk: &[ErrorPattern],
-) -> Vec<UpsetOutcome> {
-    assert!(chunk.len() <= 63, "one wide pass carries at most 63 faults");
-    let l = chains.max_len();
-    let mut sim = WideSimulator::new(netlist);
-    for n in quiesce(netlist) {
-        sim.set_net(n, Logic::Zero);
-    }
-    sim.set_net(chains.se, Logic::One);
-    for (c, chain) in chains.chains.iter().enumerate() {
-        for (d, &cell) in chain.cells.iter().enumerate() {
-            sim.force_ff_word(cell, LogicWord::splat(state[c][d]));
-        }
-    }
-
-    let drive = |sim: &mut WideSimulator<'_>, en: bool, dec: bool, clr: bool| {
-        sim.set_net(ports.mon_en, Logic::from(en));
-        sim.set_net(ports.mon_decode, Logic::from(dec));
-        sim.set_net(ports.mon_clear, Logic::from(clr));
-    };
-    if let Some(cap) = ports.sig_cap {
-        sim.set_net(cap, Logic::Zero);
-    }
-    // A clock edge the gated chain domain must not see: snapshot the
-    // chain flops, step, restore them. The always-on cells capture from
-    // the pre-edge (frozen) chain outputs, exactly as under real gating.
-    let frozen_step = |sim: &mut WideSimulator<'_>| {
-        let held: Vec<(scanguard_netlist::CellId, LogicWord)> = chains
-            .cells()
-            .map(|cell| (cell, sim.value(netlist.cell(cell).output())))
-            .collect();
-        sim.step();
-        for (cell, w) in held {
-            sim.force_ff_word(cell, w);
-        }
-        sim.settle();
-    };
-
-    // Encode.
-    drive(&mut sim, false, false, true);
-    frozen_step(&mut sim);
-    drive(&mut sim, true, false, false);
-    for _ in 0..l {
-        sim.step();
-    }
-    drive(&mut sim, false, false, false);
-    if let Some(cap) = ports.sig_cap {
-        sim.set_net(cap, Logic::One);
-        frozen_step(&mut sim);
-        sim.set_net(cap, Logic::Zero);
-    }
-
-    // Inject: lane 1 + i gets chunk[i]'s flips, forced to the negation
-    // of the retained bit (the golden lanes keep circulating it).
-    for (i, f) in chunk.iter().enumerate() {
-        for (c, d) in f.flip_positions() {
-            let cell = chains.chains[c].cells[d];
-            let mut w = sim.value(netlist.cell(cell).output());
-            w.set_lane(1 + i, !state[c][d]);
-            sim.force_ff_word(cell, w);
-        }
-    }
-    sim.settle();
-
-    // Decode + check.
-    let dh = cfg.decode_high;
-    drive(&mut sim, false, dh, true);
-    frozen_step(&mut sim);
-    drive(&mut sim, true, dh, false);
-    let mut detected = 0u64;
-    for _ in 0..l {
-        sim.settle();
-        if cfg.streaming_err {
-            detected |= sim.value(ports.err).ones;
-        }
-        sim.step();
-    }
-    drive(&mut sim, false, dh, false);
-    sim.settle();
-    detected |= sim.value(ports.err).ones;
-
-    let mut not_corrected = 0u64;
-    for (c, chain) in chains.chains.iter().enumerate() {
-        for (d, &cell) in chain.cells.iter().enumerate() {
-            let w = sim.value(netlist.cell(cell).output());
-            let want = LogicWord::splat(state[c][d]);
-            not_corrected |= (w.ones ^ want.ones) | w.xs;
-        }
-    }
-    chunk
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let bit = 1u64 << (1 + i);
-            UpsetOutcome {
-                detected: detected & bit != 0,
-                corrected: not_corrected & bit == 0,
-            }
-        })
-        .collect()
 }

@@ -47,14 +47,14 @@ pub use space::{register_import, DesignSpec, ExplorePoint, SpaceSpec, WakeSpec};
 pub use store::{cache_salt, fnv64, DiskStore, StoreLimits, StoreStats};
 pub use worker::run_pool;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use scanguard_codes::SequenceCodec;
-use scanguard_core::{break_even, measure_cost, BreakEven, CodeChoice, CostRow, Synthesizer};
+use scanguard_core::{
+    break_even, measure_cost, sample_wake_upsets, BreakEven, CodeChoice, CostRow, Synthesizer,
+};
 use scanguard_lint::{RuleSet, Severity};
 use scanguard_obs::{arg, Lane, Recorder};
 use scanguard_par::CancelToken;
-use scanguard_power::{PowerNetwork, UpsetModel};
+use scanguard_power::PowerNetwork;
 
 /// What one synthesis run contributes to every wake variant of a
 /// `(design, W, code)` configuration.
@@ -274,12 +274,11 @@ pub enum PointOutcome {
 /// build gate rejects comes back as [`PointOutcome::Pruned`] — the
 /// caller decides whether that is a report section or a run failure.
 ///
-/// The recovery model follows the harness's rush ablation: upsets
-/// cluster along the chain-major latch array while codewords run across
-/// chains at equal depth, so physical latch `i` (chain `i / l`, depth
-/// `i % l`) is sequence bit `depth * W + chain`. Codes that only detect
-/// (CRC, parity) leave corrupted state corrupted — their residual rate
-/// is the upset rate.
+/// The recovery outcome comes from [`sample_wake_upsets`], the sampler
+/// behind the harness's rush ablation too: upsets cluster along the
+/// chain-major latch array while codewords run across chains at equal
+/// depth. Codes that only detect (CRC, parity) get no codec, so their
+/// residual rate is the upset rate.
 ///
 /// When a persistent `store` is supplied, the in-memory cache becomes
 /// a write-through layer over it: a memory miss first consults the
@@ -342,13 +341,11 @@ pub fn evaluate_point(
     let chain_len = metrics.row.chain_len;
 
     let network = PowerNetwork::default_120nm();
-    let upsets = UpsetModel::default_120nm();
     let event = point.wake.strategy().wake(&network);
     // Decode runs after the rail settles: chain_len shift cycles plus
     // the clear/capture bookkeeping pair.
     let wake_cycles = event.wake_cycles(metrics.clock_mhz) + chain_len as u64 + 2;
 
-    let latches = point.chains * chain_len;
     let codec = if point.code.corrects() {
         point
             .code
@@ -358,33 +355,14 @@ pub fn evaluate_point(
     } else {
         None
     };
-    let seed = seed_of(&point.key());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut upset_events = 0u64;
-    let mut residual_events = 0u64;
-    for t in 0..trials {
-        let flips = upsets.upsets(event.peak_bounce_v, latches, seed ^ (t + 1));
-        if flips.is_empty() {
-            continue;
-        }
-        upset_events += 1;
-        let Some(codec) = &codec else {
-            residual_events += 1;
-            continue;
-        };
-        let original: Vec<bool> = (0..latches).map(|_| rng.gen()).collect();
-        let parities = codec.protect(&original);
-        let mut corrupted = original.clone();
-        for &i in &flips {
-            let (c, d) = (i / chain_len, i % chain_len);
-            let pos = d * point.chains + c;
-            corrupted[pos] = !corrupted[pos];
-        }
-        codec.recover(&mut corrupted, &parities);
-        if corrupted != original {
-            residual_events += 1;
-        }
-    }
+    let (upset_events, residual_events) = sample_wake_upsets(
+        point.chains,
+        chain_len,
+        event.peak_bounce_v,
+        codec.as_ref(),
+        trials,
+        seed_of(&point.key()),
+    );
     let trials_f = trials.max(1) as f64;
 
     Ok(PointOutcome::Evaluated(PointResult {
@@ -529,6 +507,23 @@ mod tests {
         let mut spec = SpaceSpec::paper(DesignSpec::Fifo { depth: 4, width: 4 });
         spec.trials = 10;
         spec
+    }
+
+    /// The shared wake sampler on one explore point (fifo32x32, W=80,
+    /// Hamming(7,4), full-bank, 40 trials), pinned to the counts the
+    /// explorer reported before the loop moved into `scanguard-core`.
+    #[test]
+    fn wake_sampler_counts_are_pinned() {
+        let codec = CodeChoice::hamming7_4()
+            .block_code()
+            .unwrap()
+            .map(SequenceCodec::new);
+        let bounce = scanguard_power::WakeStrategy::FullBank
+            .wake(&PowerNetwork::default_120nm())
+            .peak_bounce_v;
+        let seed = seed_of("fifo32x32/W80/Hamming(7,4)/full-bank");
+        let counts = sample_wake_upsets(80, 13, bounce, codec.as_ref(), 40, seed);
+        assert_eq!(counts, (40, 19));
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::{FifoTestbench, InjectionMode, ValidationStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scanguard_codes::{BlockCode, Hamming, SequenceCodec};
-use scanguard_core::{measure_cost, CodeChoice, CostRow, Synthesizer};
+use scanguard_core::{measure_cost, sample_wake_upsets, CodeChoice, CostRow, Synthesizer};
 use scanguard_designs::Fifo;
-use scanguard_power::{PowerNetwork, UpsetModel, WakeStrategy};
+use scanguard_power::{PowerNetwork, WakeStrategy};
 
 /// The chain-count sweep of the paper's Tables I and II.
 pub const PAPER_W_SWEEP: [usize; 5] = [4, 8, 16, 40, 80];
@@ -211,9 +211,7 @@ pub struct RushRow {
 /// while a wide burst hits same-depth pairs and defeats plain Hamming.
 #[must_use]
 pub fn ablation_rush(chains: usize, chain_len: usize, trials: u64, seed: u64) -> Vec<RushRow> {
-    let latches = chains * chain_len;
     let network = PowerNetwork::default_120nm();
-    let upsets = UpsetModel::default_120nm();
     let code = Hamming::h7_4();
     let codec = SequenceCodec::new(Box::new(code));
     let strategies: Vec<(String, WakeStrategy, bool)> = vec![
@@ -248,35 +246,14 @@ pub fn ablation_rush(chains: usize, chain_len: usize, trials: u64, seed: u64) ->
         .into_iter()
         .map(|(name, strategy, monitored)| {
             let event = strategy.wake(&network);
-            let mut upset_events = 0u64;
-            let mut residual_events = 0u64;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for t in 0..trials {
-                let flips = upsets.upsets(event.peak_bounce_v, latches, seed ^ (t + 1));
-                if flips.is_empty() {
-                    continue;
-                }
-                upset_events += 1;
-                if !monitored {
-                    residual_events += 1;
-                    continue;
-                }
-                // Behavioural recovery: codewords are formed across
-                // chains at equal depth, so physical latch i (chain
-                // i / l, depth i % l) is sequence bit depth * W + chain.
-                let original: Vec<bool> = (0..latches).map(|_| rng.gen()).collect();
-                let parities = codec.protect(&original);
-                let mut corrupted = original.clone();
-                for &i in &flips {
-                    let (c, d) = (i / chain_len, i % chain_len);
-                    let pos = d * chains + c;
-                    corrupted[pos] = !corrupted[pos];
-                }
-                codec.recover(&mut corrupted, &parities);
-                if corrupted != original {
-                    residual_events += 1;
-                }
-            }
+            let (upset_events, residual_events) = sample_wake_upsets(
+                chains,
+                chain_len,
+                event.peak_bounce_v,
+                monitored.then_some(&codec),
+                trials,
+                seed,
+            );
             let decode_cycles = if monitored { chain_len as u64 + 2 } else { 0 };
             RushRow {
                 strategy: name,
@@ -482,6 +459,36 @@ mod tests {
         assert!(stag.upset_prob <= full.upset_prob);
         assert!(monitored.residual_prob < full.residual_prob);
         assert_eq!(full.residual_prob, full.upset_prob, "no correction");
+    }
+
+    /// The E7 rows at the paper's 80 x 13 array, pinned to the values
+    /// recorded before the wake loop moved into `sample_wake_upsets`.
+    #[test]
+    fn rush_ablation_rows_are_pinned() {
+        let row = |strategy: &str, peak_bounce_v, wake_cycles, upset_prob, residual_prob| RushRow {
+            strategy: strategy.to_owned(),
+            peak_bounce_v,
+            wake_cycles,
+            upset_prob,
+            residual_prob,
+        };
+        let (full, x2, x8, ramp) = (
+            0.208_312_474_367_261_1,
+            0.150_258_880_410_607_14,
+            0.058_927_318_557_535_42,
+            0.028_681_020_695_970_47,
+        );
+        assert_eq!(
+            ablation_rush(80, 13, 200, 0xC11),
+            [
+                row("full-bank", full, 1, 1.0, 1.0),
+                row("staggered x2 [7]", x2, 2, 0.23, 0.23),
+                row("staggered x8 [7]", x8, 6, 0.0, 0.0),
+                row("slow-ramp x20 [8]", ramp, 5, 0.0, 0.0),
+                row("full-bank + monitor (proposed)", full, 16, 1.0, 0.415),
+                row("staggered x8 + monitor", x8, 21, 0.0, 0.0),
+            ]
+        );
     }
 
     #[test]

@@ -48,26 +48,6 @@ pub struct ValidationStats {
     pub comparator_mismatches: u64,
 }
 
-impl ValidationStats {
-    /// Detection rate over sequences that had injections.
-    #[must_use]
-    pub fn detection_rate(&self) -> f64 {
-        if self.sequences == 0 {
-            return 0.0;
-        }
-        self.errors_reported as f64 / self.sequences as f64
-    }
-
-    /// Recovery (correction) rate.
-    #[must_use]
-    pub fn recovery_rate(&self) -> f64 {
-        if self.sequences == 0 {
-            return 0.0;
-        }
-        self.sequences_recovered as f64 / self.sequences as f64
-    }
-}
-
 /// The Fig. 8 testbench around a protected FIFO.
 #[derive(Debug)]
 pub struct FifoTestbench {

@@ -6,7 +6,7 @@
 //! (multi-driven nets, combinational loops, stale `topo_order`) — the
 //! very netlists a linter exists for.
 
-use crate::upset::{sweep, SweepCells, UpsetError, UpsetOptions, UpsetReport};
+use crate::upset::{sweep, SweepCells, UpsetError, UpsetReport};
 use scanguard_dft::{ScanChains, TestModeConfig};
 use scanguard_netlist::{CellId, CellLibrary, NetId, Netlist};
 use std::cell::OnceCell;
@@ -301,18 +301,15 @@ impl<'a> LintContext<'a> {
     }
 
     /// The exhaustive upset sweep (SG205/SG206's shared evidence),
-    /// computed on first call with default [`UpsetOptions`] and cached
-    /// for the life of the context. `None` when the context has no
-    /// design view or no monitor view.
+    /// computed on first call and cached for the life of the context.
+    /// `None` when the context has no design view or no monitor view.
     pub fn upset_report(&self) -> Option<&Result<UpsetReport, UpsetError>> {
         let view = self.design?;
         view.monitor?;
-        let (report, _) =
-            self.upset
-                .get_or_init(|| match sweep(self, &view, &UpsetOptions::default()) {
-                    Ok((report, cells)) => (Ok(report), Some(cells)),
-                    Err(e) => (Err(e), None),
-                });
+        let (report, _) = self.upset.get_or_init(|| match sweep(self, &view) {
+            Ok((report, cells)) => (Ok(report), Some(cells)),
+            Err(e) => (Err(e), None),
+        });
         Some(report)
     }
 

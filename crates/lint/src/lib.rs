@@ -54,7 +54,7 @@ mod xprop;
 pub use context::{Cone, DesignView, LintContext, MonitorKind, MonitorView};
 pub use diag::{Diagnostic, LintReport, Severity};
 pub use rules::{all_rules, rule_ids, Rule, RuleSet, UnknownRule};
-pub use upset::{UpsetError, UpsetOptions, UpsetReport};
+pub use upset::{UpsetError, UpsetReport};
 pub use xprop::XPropContext;
 
 use scanguard_netlist::{CellLibrary, Netlist};

@@ -54,19 +54,9 @@ pub const MAX_WORDS: usize = 4096;
 /// Fault lanes packed per simulator word (lane 0 is golden).
 const LANES_PER_WORD: usize = 63;
 
-/// Tuning knobs for the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpsetOptions {
-    /// Widest in-group burst to sweep. Spans beyond the cap (or beyond
-    /// the code's detection claim) are pruned *and counted*.
-    pub max_burst_span: usize,
-}
-
-impl Default for UpsetOptions {
-    fn default() -> Self {
-        UpsetOptions { max_burst_span: 4 }
-    }
-}
+/// Widest in-group burst to sweep. Spans beyond the cap (or beyond the
+/// code's detection claim) are pruned *and counted*.
+const MAX_BURST_SPAN: usize = 4;
 
 /// Why the engine could not run at all (distinct from a design that
 /// runs and *fails* its obligations).
@@ -235,20 +225,6 @@ pub fn retained_state(width: usize, len: usize) -> Vec<Vec<Logic>> {
         .collect()
 }
 
-/// Runs the exhaustive sweep for a design context.
-///
-/// # Errors
-///
-/// [`UpsetError`] when the engine cannot run at all: combinational
-/// cycles, ragged chains, or a fault space beyond [`MAX_WORDS`].
-pub fn verify_upsets(
-    ctx: &LintContext<'_>,
-    view: &DesignView<'_>,
-    opts: &UpsetOptions,
-) -> Result<UpsetReport, UpsetError> {
-    sweep(ctx, view, opts).map(|(report, _)| report)
-}
-
 /// How much of the netlist a sweep evaluated: the `lint.upset.cells`
 /// and `lint.upset.live_cells` counters, kept out of the report so its
 /// bytes do not depend on the pruning.
@@ -260,11 +236,16 @@ pub(crate) struct SweepCells {
     pub(crate) total: usize,
 }
 
-/// [`verify_upsets`], plus the size of the cone it evaluated.
+/// Runs the exhaustive sweep for a design context and reports the size
+/// of the cone it evaluated.
+///
+/// # Errors
+///
+/// [`UpsetError`] when the engine cannot run at all: combinational
+/// cycles, ragged chains, or a fault space beyond [`MAX_WORDS`].
 pub(crate) fn sweep(
     ctx: &LintContext<'_>,
     view: &DesignView<'_>,
-    opts: &UpsetOptions,
 ) -> Result<(UpsetReport, SweepCells), UpsetError> {
     let mv = view
         .monitor
@@ -277,7 +258,7 @@ pub(crate) fn sweep(
         return Err(UpsetError::RaggedChains);
     }
     let state = retained_state(w, l);
-    let (faults, pruned) = enumerate_faults(&mv, w, l, opts);
+    let (faults, pruned) = enumerate_faults(&mv, w, l);
     let lanes = faults.len();
     let words = lanes.div_ceil(LANES_PER_WORD).max(1);
     if words > MAX_WORDS {
@@ -468,14 +449,13 @@ fn code_name(kind: MonitorKind) -> &'static str {
 /// * **Hamming/SEC-DED**: span 2 only — the single-correct /
 ///   double-detect claim. Wider spans can alias onto a valid syndrome.
 /// * **Parity**: every odd span (even weights are parity-invisible by
-///   definition), capped by `max_burst_span` for runtime.
+///   definition), capped by [`MAX_BURST_SPAN`] for runtime.
 /// * **CRC-16**: spans up to the polynomial degree (16) — the classic
-///   burst guarantee — capped by `max_burst_span`.
+///   burst guarantee — capped by [`MAX_BURST_SPAN`].
 fn enumerate_faults(
     mv: &MonitorView,
     width: usize,
     len: usize,
-    opts: &UpsetOptions,
 ) -> (Vec<ErrorPattern>, Vec<PruneStat>) {
     let mut faults = Vec::with_capacity(width * len);
     for chain in 0..width {
@@ -533,7 +513,7 @@ fn enumerate_faults(
             for span in 2..=data.max(1) {
                 if span % 2 == 0 {
                     prune("parity-even-span", burst_count(span));
-                } else if span > opts.max_burst_span {
+                } else if span > MAX_BURST_SPAN {
                     prune("span-cap", burst_count(span));
                 } else {
                     push_span(&mut faults, span);
@@ -544,7 +524,7 @@ fn enumerate_faults(
             for span in 2..=data.max(1) {
                 if span > 16 {
                     prune("crc-span-gt-degree", burst_count(span));
-                } else if span > opts.max_burst_span {
+                } else if span > MAX_BURST_SPAN {
                     prune("span-cap", burst_count(span));
                 } else {
                     push_span(&mut faults, span);

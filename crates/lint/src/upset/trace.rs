@@ -1,6 +1,6 @@
 //! Concrete counterexample traces for failed upset obligations.
 //!
-//! The sweep in [`super::verify_upsets`] packs thousands of faulted
+//! The sweep in [`super::sweep`] packs thousands of faulted
 //! machines into shared words; once a fault (or the golden pass itself)
 //! fails an obligation, this module re-runs the *same* schedule — the
 //! shared [`PassDriver`] guarantees it cannot drift — with a single

@@ -139,28 +139,43 @@ impl Drop for BudgetGrant<'_> {
 }
 
 /// A cooperative cancellation flag shared between a pool run and
-/// whoever may abort it (a serving daemon's `cancel` request, a
-/// deadline sweeper). Cloning shares the flag.
+/// whoever may abort it (a serving daemon's `cancel` request), with an
+/// optional deadline after which the token reads as cancelled on its
+/// own. Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
-    /// A fresh, uncancelled token.
+    /// A fresh, uncancelled token without a deadline.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// A token that shares this one's flag and also reads as cancelled
+    /// once `deadline` has passed. `self` keeps no deadline.
+    #[must_use]
+    pub fn with_deadline(&self, deadline: Instant) -> Self {
+        CancelToken {
+            flag: self.flag.clone(),
+            deadline: Some(deadline),
+        }
+    }
+
     /// Raises the flag. Workers stop claiming new tasks; tasks already
     /// running finish normally.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`cancel`](Self::cancel) has been called.
+    /// Whether [`cancel`](Self::cancel) has been called or the deadline,
+    /// if any, has passed.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -423,6 +438,20 @@ mod tests {
             started.load(Ordering::Relaxed) < 1000,
             "workers must stop claiming after cancel"
         );
+    }
+
+    #[test]
+    fn passed_deadline_stops_the_run() {
+        let token = CancelToken::new();
+        let expired = token.with_deadline(Instant::now());
+        let started = AtomicUsize::new(0);
+        let result = run_pool_cancel(1000, 2, None, Some(&expired), |_, i| {
+            started.fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(result, Err(Cancelled));
+        assert_eq!(started.load(Ordering::Relaxed), 0, "no task is claimed");
+        assert!(!token.is_cancelled(), "the deadline stays on its own token");
     }
 
     #[test]

@@ -86,32 +86,6 @@ impl UpsetModel {
         }
         flips
     }
-
-    /// Probability that a wake-up with the given bounce upsets at least
-    /// one of `latches`, estimated over `trials` seeded Monte-Carlo
-    /// draws.
-    #[must_use]
-    pub fn upset_probability(
-        &self,
-        peak_bounce_v: f64,
-        latches: usize,
-        trials: u64,
-        seed: u64,
-    ) -> f64 {
-        if trials == 0 {
-            return 0.0;
-        }
-        let mut hits = 0u64;
-        for t in 0..trials {
-            if !self
-                .upsets(peak_bounce_v, latches, seed.wrapping_add(t))
-                .is_empty()
-            {
-                hits += 1;
-            }
-        }
-        hits as f64 / trials as f64
-    }
 }
 
 impl Default for UpsetModel {
@@ -168,9 +142,13 @@ mod tests {
     #[test]
     fn probability_is_monotone_in_bounce() {
         let m = UpsetModel::default_120nm();
-        let lo = m.upset_probability(0.30, 1040, 300, 9);
-        let mid = m.upset_probability(0.45, 1040, 300, 9);
-        let hi = m.upset_probability(0.70, 1040, 300, 9);
+        let p = |bounce: f64| {
+            let hits = (0..300u64)
+                .filter(|&t| !m.upsets(bounce, 1040, 9 + t).is_empty())
+                .count();
+            hits as f64 / 300.0
+        };
+        let (lo, mid, hi) = (p(0.30), p(0.45), p(0.70));
         assert!(lo <= mid && mid <= hi, "{lo} {mid} {hi}");
         assert!(hi > 0.5);
     }

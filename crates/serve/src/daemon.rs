@@ -311,8 +311,9 @@ impl Daemon {
         let job = Job::parse(&req.kind, &Params::Wire(&req.body))
             .map_err(|m| (ErrorCode::BadRequest, m))?;
         let token = CancelToken::new();
-        let timed_out = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
+        let deadline = req
+            .timeout_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let key = id_key(&req.id);
         self.inflight.lock().expect("inflight registry").insert(
             key.clone(),
@@ -320,45 +321,30 @@ impl Daemon {
                 token: token.clone(),
             },
         );
-        if let Some(ms) = req.timeout_ms {
-            let token = token.clone();
-            let timed_out = timed_out.clone();
-            let done = done.clone();
-            std::thread::spawn(move || {
-                let deadline = Instant::now() + Duration::from_millis(ms);
-                while Instant::now() < deadline {
-                    if done.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                if !done.load(Ordering::Acquire) {
-                    timed_out.store(true, Ordering::Release);
-                    token.cancel();
-                }
-            });
-        }
+        // The job's token carries the deadline; `token` itself only
+        // reports an explicit `cancel` request.
+        let run_token = deadline.map_or_else(|| token.clone(), |d| token.with_deadline(d));
         let grant = job
             .workers(self.budget.slots())
             .map(|want| self.budget.acquire(want));
         let ctx = JobCtx {
             threads: grant.as_ref().map_or(1, |g| g.threads()),
             obs: Some(&self.rec),
-            cancel: Some(&token),
+            cancel: Some(&run_token),
             store: self.store.as_ref(),
             deterministic: true,
         };
         let result = job.run(&ctx);
+        let returned = Instant::now();
         drop(grant);
-        done.store(true, Ordering::Release);
         self.inflight
             .lock()
             .expect("inflight registry")
             .remove(&key);
         // The deadline wins over whatever the handler managed to
-        // produce: once `timeout_ms` fired the client was promised an
-        // error, even if an uncancellable stage completed afterwards.
-        if timed_out.load(Ordering::Acquire) {
+        // produce: a run that returned after `timeout_ms` elapsed
+        // answers an error, even if an uncancellable stage completed.
+        if deadline.is_some_and(|d| returned >= d) {
             let ms = req.timeout_ms.unwrap_or(0);
             return Err((ErrorCode::Timeout, format!("deadline of {ms} ms exceeded")));
         }

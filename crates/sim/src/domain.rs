@@ -72,12 +72,6 @@ impl Domain {
     pub fn retain(&self) -> bool {
         self.retain
     }
-
-    /// `true` while the domain's clock runs.
-    #[must_use]
-    pub fn clock_enabled(&self) -> bool {
-        self.clock_en
-    }
 }
 
 #[cfg(test)]

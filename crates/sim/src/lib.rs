@@ -29,13 +29,14 @@
 //!   `measure_cost` reads.
 //! * [`WideSimulator`] — a compiled word-block program: 64 machines per
 //!   word, a block of words per net, every compiled cell evaluated once
-//!   per settle. PPSFP fault simulation, the wide monitor pass and the
-//!   SG205/SG206 upset sweep of `scanguard-lint` all run on it.
+//!   per settle. PPSFP fault simulation and the SG205/SG206 upset sweep
+//!   of `scanguard-lint` both run on it.
 //!
 //! The scalar engine stays as the independent oracle the wide one is
 //! held to: `wide_vs_scalar.rs` and `faultsim_engine.rs` (in
-//! `scanguard-dft`) and `upset_differential.rs` (in `scanguard-core`)
-//! compare the two byte for byte, so a wide-engine bug cannot hide
+//! `scanguard-dft`) compare the two byte for byte, and
+//! `upset_differential.rs` (in `scanguard-core`) holds the sweep's
+//! verdicts to scalar fault injection, so a wide-engine bug cannot hide
 //! behind its own verdicts.
 //!
 //! # Examples
@@ -74,11 +75,9 @@ mod domain;
 mod energy;
 mod simulator;
 mod tables;
-mod vcd;
 mod wide;
 
 pub use domain::{Domain, DomainId};
 pub use energy::EnergyWindow;
 pub use simulator::Simulator;
-pub use vcd::VcdWriter;
 pub use wide::WideSimulator;

@@ -397,19 +397,6 @@ impl<'a> Simulator<'a> {
         self.retention[cell.index()]
     }
 
-    /// Forces a retention latch (used by the rush-current upset model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is not a retention flip-flop.
-    pub fn force_retention(&mut self, cell: CellId, value: Logic) {
-        assert!(
-            self.netlist.cell(cell).kind().is_retention(),
-            "cell {cell} has no retention latch"
-        );
-        self.retention[cell.index()] = value;
-    }
-
     /// Inverts a retention latch (an upset). `X` stays `X`.
     ///
     /// # Panics
