@@ -34,14 +34,6 @@ pub enum Decoded {
     Detected,
 }
 
-impl Decoded {
-    /// `true` unless the word decoded clean.
-    #[must_use]
-    pub fn is_error(self) -> bool {
-        !matches!(self, Decoded::Clean)
-    }
-}
-
 impl fmt::Display for Decoded {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -118,8 +110,5 @@ mod tests {
         assert_eq!(Decoded::Clean.to_string(), "clean");
         assert_eq!(Decoded::Corrected { bit: 3 }.to_string(), "corrected bit 3");
         assert_eq!(Decoded::Detected.to_string(), "detected uncorrectable");
-        assert!(!Decoded::Clean.is_error());
-        assert!(Decoded::Detected.is_error());
-        assert!(Decoded::Corrected { bit: 0 }.is_error());
     }
 }

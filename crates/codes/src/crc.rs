@@ -58,26 +58,6 @@ impl Crc {
         }
     }
 
-    /// CRC-16/IBM (polynomial `0x8005`).
-    #[must_use]
-    pub fn crc16_ibm() -> Self {
-        Crc {
-            width: 16,
-            poly: 0x8005,
-            init: 0x0000,
-        }
-    }
-
-    /// CRC-32 (IEEE 802.3 polynomial, non-reflected form).
-    #[must_use]
-    pub fn crc32() -> Self {
-        Crc {
-            width: 32,
-            poly: 0x04C1_1DB7,
-            init: 0xFFFF_FFFF,
-        }
-    }
-
     /// Register width in bits.
     #[must_use]
     pub fn width(&self) -> u32 {
@@ -199,7 +179,8 @@ mod tests {
 
     #[test]
     fn crc16_ibm_zero_stream_is_zero() {
-        let crc = Crc::crc16_ibm();
+        // CRC-16/IBM: polynomial 0x8005, zero init.
+        let crc = Crc::new(16, 0x8005, 0).unwrap();
         assert_eq!(crc.checksum_bits(&[false; 64]), 0);
     }
 
@@ -279,7 +260,10 @@ mod tests {
     fn crc32_differs_from_crc16_on_same_stream() {
         let bits: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
         let a = Crc::crc16_ccitt().checksum_bits(&bits);
-        let b = Crc::crc32().checksum_bits(&bits);
+        // CRC-32 (IEEE 802.3 polynomial, non-reflected form).
+        let b = Crc::new(32, 0x04C1_1DB7, 0xFFFF_FFFF)
+            .unwrap()
+            .checksum_bits(&bits);
         assert_ne!(u64::from(a), u64::from(b) & 0xFFFF);
     }
 }

@@ -1,9 +1,10 @@
 //! The proposed power-gating controller — paper Fig. 3(b).
 //!
-//! It wraps the conventional sleep/wake sequence (Fig. 3(a),
-//! `scanguard_power::ConventionalController`) with an **encode sequence**
-//! before sleep and a **decode/check sequence** after wake-up, driving
-//! the monitor hardware's control ports cycle by cycle.
+//! It is the conventional sleep/wake sequence of Fig. 3(a) (`Save`,
+//! `PowerDown`, `Sleep`, `PowerUp`, `Restore`) with an **encode
+//! sequence** before sleep and a **decode/check sequence** after
+//! wake-up, driving the monitor hardware's control ports cycle by cycle.
+//! It is the only model of either sequence.
 
 use serde::{Deserialize, Serialize};
 
@@ -414,6 +415,52 @@ mod tests {
             }
         }
         assert_eq!(sampled_phases, vec![MonPhase::Check]);
+    }
+
+    #[test]
+    fn wake_settle_is_respected() {
+        // Fig. 3(a): PowerUp holds RETAIN with the switches closed for
+        // exactly `wake_settle_cycles` before the state is restored.
+        let mut t = timing();
+        t.wake_settle_cycles = 5;
+        let mut pg = ProposedController::new(t);
+        for _ in 0..20 {
+            pg.tick(true);
+        }
+        assert_eq!(pg.phase(), MonPhase::Sleep);
+        let mut settle = 0;
+        while pg.phase() != MonPhase::Restore {
+            let out = pg.tick(false);
+            if pg.phase() == MonPhase::PowerUp {
+                settle += 1;
+                assert!(out.power_on && out.retain);
+            }
+            assert!(settle < 20);
+        }
+        assert_eq!(settle, 5);
+    }
+
+    #[test]
+    fn active_is_the_only_state_valid_phase() {
+        let mut pg = ProposedController::new(timing());
+        assert!(pg.outputs().state_valid);
+        let mut sleep = true;
+        for cycle in 0..60 {
+            if cycle > 15 {
+                sleep = false;
+            }
+            let out = pg.tick(sleep);
+            assert_eq!(
+                out.state_valid,
+                pg.phase() == MonPhase::Active,
+                "{:?}",
+                pg.phase()
+            );
+            if pg.phase() == MonPhase::Active && cycle > 1 {
+                break;
+            }
+        }
+        assert_eq!(pg.phase(), MonPhase::Active, "the sequence closes");
     }
 
     #[test]

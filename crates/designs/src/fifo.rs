@@ -213,12 +213,6 @@ impl FifoModel {
         self.entries.is_empty()
     }
 
-    /// `true` when `depth` entries are held.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.depth
-    }
-
     /// Current occupancy.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -378,7 +372,7 @@ mod tests {
             let din = (state >> 8) & 0xFF;
             // Compare pre-edge observables.
             assert_eq!(tb.flag("empty"), model.is_empty(), "empty @ {step}");
-            assert_eq!(tb.flag("full"), model.is_full(), "full @ {step}");
+            assert_eq!(tb.flag("full"), model.len() == 8, "full @ {step}");
             if !model.is_empty() {
                 assert_eq!(tb.dout(), model.dout().unwrap(), "dout @ {step}");
             }
@@ -393,7 +387,7 @@ mod tests {
         assert_eq!(m.tick(false, false, true, 0), None, "read while empty");
         m.tick(false, true, false, 1);
         m.tick(false, true, false, 2);
-        assert!(m.is_full());
+        assert_eq!(m.len(), 2, "full");
         m.tick(false, true, false, 3); // dropped
         assert_eq!(m.tick(false, false, true, 0), Some(1));
         assert_eq!(m.tick(false, false, true, 0), Some(2));
@@ -405,7 +399,7 @@ mod tests {
         let mut m = FifoModel::new(2, 4);
         m.tick(false, true, false, 1);
         m.tick(false, true, false, 2);
-        assert!(m.is_full());
+        assert_eq!(m.len(), 2, "full");
         // Read+write while full: the read drains one, but the write is
         // gated on the pre-edge full flag (hardware semantics).
         let got = m.tick(false, true, true, 3);

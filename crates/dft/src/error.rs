@@ -25,14 +25,6 @@ pub enum DftError {
         /// Manufacturing-test I/O width.
         test_width: usize,
     },
-    /// An explicit stitching order is not a permutation of the design's
-    /// flip-flops.
-    OrderMismatch {
-        /// Flops in the design.
-        expected: usize,
-        /// Cells supplied (after deduplication mismatches).
-        got: usize,
-    },
     /// An underlying netlist operation failed (e.g. a port-name clash
     /// with the original design).
     Netlist(scanguard_netlist::NetlistError),
@@ -46,16 +38,15 @@ impl fmt::Display for DftError {
         match self {
             DftError::NoFlipFlops => write!(f, "design has no flip-flops to stitch"),
             DftError::TooManyChains { chains, ffs } => {
-                write!(f, "requested {chains} chains but design has only {ffs} flip-flops")
+                write!(
+                    f,
+                    "requested {chains} chains but design has only {ffs} flip-flops"
+                )
             }
             DftError::ZeroChains => write!(f, "chain count must be at least 1"),
             DftError::TestWidthMismatch { chains, test_width } => write!(
                 f,
                 "test width {test_width} does not divide chain count {chains}"
-            ),
-            DftError::OrderMismatch { expected, got } => write!(
-                f,
-                "stitching order is not a permutation of the design's {expected} flops (got {got} cells)"
             ),
             DftError::Netlist(e) => write!(f, "netlist error during scan insertion: {e}"),
             DftError::Recover(msg) => write!(f, "scan-chain recovery failed: {msg}"),

@@ -14,7 +14,7 @@
 //! simulated cycle by cycle and *dropped* at the first observed bit that
 //! differs from golden — the rest of the failing pattern, the remaining
 //! patterns and the final flush are never simulated.
-//! Faults are fanned out over a [`scanguard_par::run_pool`] and the
+//! Faults are fanned out over a [`scanguard_par::run_pool_obs`] and the
 //! per-fault outcomes are merged in index order, so the
 //! [`CoverageReport`] is byte-identical at any
 //! [`thread count`](FaultSimConfig::threads).

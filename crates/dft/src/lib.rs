@@ -49,7 +49,6 @@ mod error;
 mod faultsim;
 mod inject;
 mod lfsr;
-mod placement;
 mod recover;
 mod scan;
 mod testmode;
@@ -62,8 +61,7 @@ pub use faultsim::{
 };
 pub use inject::{attach_injector, ErrorPattern, Injector};
 pub use lfsr::Lfsr;
-pub use placement::{insert_scan_placed, ChainOrder, Placement};
-pub use recover::{recover_scan_chains, recover_scan_chains_with, RecoverConfig};
-pub use scan::{insert_scan, insert_scan_ordered, FlopStyle, ScanChain, ScanChains, ScanConfig};
+pub use recover::recover_scan_chains;
+pub use scan::{insert_scan, FlopStyle, ScanChain, ScanChains, ScanConfig};
 pub use testmode::{configure_test_mode, TestModeConfig};
 pub use upsetsim::{monitor_pass_outcomes, MonitorPassConfig, MonitorPassPorts, UpsetOutcome};

@@ -22,34 +22,11 @@ use std::collections::{HashMap, HashSet};
 use scanguard_netlist::{CellId, NetId, Netlist};
 
 use crate::error::DftError;
-use crate::scan::{ScanChain, ScanChains};
+use crate::scan::{ScanChain, ScanChains, SE_PORT, SI_PREFIX, SO_PREFIX};
 
-/// Port-naming convention used by [`recover_scan_chains_with`].
-///
-/// The defaults match what [`insert_scan`](crate::insert_scan) creates:
-/// scan enable `se`, chain inputs `si[k]`, chain outputs `so[k]`.
-#[derive(Debug, Clone)]
-pub struct RecoverConfig {
-    /// Scan-enable input port name.
-    pub se_port: String,
-    /// Prefix of the per-chain scan-in ports (`<si_prefix>[k]`).
-    pub si_prefix: String,
-    /// Prefix of the per-chain scan-out ports (`<so_prefix>[k]`).
-    pub so_prefix: String,
-}
-
-impl Default for RecoverConfig {
-    fn default() -> Self {
-        RecoverConfig {
-            se_port: "se".into(),
-            si_prefix: "si".into(),
-            so_prefix: "so".into(),
-        }
-    }
-}
-
-/// Recovers the scan-chain structure of `netlist` using the default
-/// `se`/`si[k]`/`so[k]` port convention.
+/// Recovers the scan-chain structure of `netlist` from the
+/// `se`/`si[k]`/`so[k]` ports [`insert_scan`](crate::insert_scan)
+/// creates.
 ///
 /// The result is equivalent to the [`ScanChains`] that
 /// [`insert_scan`](crate::insert_scan) originally returned for the
@@ -90,22 +67,10 @@ impl Default for RecoverConfig {
 /// # }
 /// ```
 pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
-    recover_scan_chains_with(netlist, &RecoverConfig::default())
-}
-
-/// [`recover_scan_chains`] with explicit port names.
-///
-/// # Errors
-///
-/// As [`recover_scan_chains`].
-pub fn recover_scan_chains_with(
-    netlist: &Netlist,
-    config: &RecoverConfig,
-) -> Result<ScanChains, DftError> {
     let err = |msg: String| DftError::Recover(msg);
     let se = netlist
-        .port(&config.se_port)
-        .map_err(|_| err(format!("no scan-enable input port `{}`", config.se_port)))?;
+        .port(SE_PORT)
+        .map_err(|_| err(format!("no scan-enable input port `{SE_PORT}`")))?;
 
     // Scan flops indexed by the net on their SI pin (pin order D, SI, SE).
     let scan_flops: Vec<CellId> = netlist
@@ -134,7 +99,7 @@ pub fn recover_scan_chains_with(
     let mut chains = Vec::new();
     let mut claimed: HashSet<CellId> = HashSet::new();
     for k in 0.. {
-        let si_name = format!("{}[{k}]", config.si_prefix);
+        let si_name = format!("{SI_PREFIX}[{k}]");
         let Ok(si) = netlist.port(&si_name) else {
             break;
         };
@@ -160,7 +125,7 @@ pub fn recover_scan_chains_with(
         }
 
         let so = netlist.cell(cursor).output();
-        let so_name = format!("{}[{k}]", config.so_prefix);
+        let so_name = format!("{SO_PREFIX}[{k}]");
         let so_port = netlist
             .port(&so_name)
             .map_err(|_| err(format!("no scan-out output port `{so_name}` for chain {k}")))?;
@@ -174,8 +139,7 @@ pub fn recover_scan_chains_with(
             let cell = netlist.cell(id);
             if cell.inputs()[2] != se {
                 return Err(err(format!(
-                    "flop {id} on chain {k} does not sample scan-enable `{}`",
-                    config.se_port
+                    "flop {id} on chain {k} does not sample scan-enable `{SE_PORT}`"
                 )));
             }
             claimed.insert(id);
@@ -185,8 +149,7 @@ pub fn recover_scan_chains_with(
 
     if chains.is_empty() {
         return Err(err(format!(
-            "no `{}[0]` scan-in port: design has no recoverable scan chains",
-            config.si_prefix
+            "no `{SI_PREFIX}[0]` scan-in port: design has no recoverable scan chains"
         )));
     }
     if claimed.len() != scan_flops.len() {
@@ -199,7 +162,7 @@ pub fn recover_scan_chains_with(
     Ok(ScanChains {
         se,
         chains,
-        se_port: config.se_port.clone(),
+        se_port: SE_PORT.to_owned(),
     })
 }
 

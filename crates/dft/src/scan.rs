@@ -23,6 +23,13 @@ pub enum FlopStyle {
     RetentionScan,
 }
 
+/// Name of the shared scan-enable input port.
+pub(crate) const SE_PORT: &str = "se";
+/// Prefix of the per-chain scan-in ports (`si[k]`).
+pub(crate) const SI_PREFIX: &str = "si";
+/// Prefix of the per-chain scan-out ports (`so[k]`).
+pub(crate) const SO_PREFIX: &str = "so";
+
 /// Configuration of the scan insertion pass.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ScanConfig {
@@ -30,21 +37,15 @@ pub struct ScanConfig {
     pub chains: usize,
     /// Flip-flop upgrade style.
     pub style: FlopStyle,
-    /// Name of the scan-enable input port.
-    pub se_port: String,
-    /// Prefix of the per-chain scan-in ports (`si[k]`).
-    pub si_prefix: String,
-    /// Prefix of the per-chain scan-out ports (`so[k]`).
-    pub so_prefix: String,
 }
 
 impl ScanConfig {
-    /// A configuration with `chains` chains and default naming.
+    /// A configuration with `chains` chains of plain scan flops.
     #[must_use]
     pub fn with_chains(chains: usize) -> Self {
         ScanConfig {
             chains,
-            ..ScanConfig::default()
+            style: FlopStyle::Scan,
         }
     }
 
@@ -54,19 +55,6 @@ impl ScanConfig {
         ScanConfig {
             chains,
             style: FlopStyle::RetentionScan,
-            ..ScanConfig::default()
-        }
-    }
-}
-
-impl Default for ScanConfig {
-    fn default() -> Self {
-        ScanConfig {
-            chains: 1,
-            style: FlopStyle::Scan,
-            se_port: "se".to_owned(),
-            si_prefix: "si".to_owned(),
-            so_prefix: "so".to_owned(),
         }
     }
 }
@@ -189,7 +177,9 @@ impl ScanChains {
 ///
 /// Flip-flops are taken in cell order and split into `config.chains`
 /// balanced contiguous chains (lengths differ by at most one). New ports:
-/// `se`, `si[k]`, `so[k]`.
+/// `se`, `si[k]`, `so[k]`. The names are fixed:
+/// [`recover_scan_chains`](crate::recover_scan_chains) finds the chains
+/// of an imported netlist by them.
 ///
 /// # Errors
 ///
@@ -197,43 +187,12 @@ impl ScanChains {
 ///   [`DftError::NoFlipFlops`] for bad configurations;
 /// * [`DftError::Netlist`] if port names clash with the design.
 pub fn insert_scan(netlist: &mut Netlist, config: &ScanConfig) -> Result<ScanChains, DftError> {
-    let ffs: Vec<CellId> = netlist.ff_cells().map(|(id, _)| id).collect();
-    insert_scan_ordered(netlist, config, &ffs)
-}
-
-/// [`insert_scan`] with an explicit stitching order: `order[0]` becomes
-/// the first flop of chain 0, and chains are cut from the order in
-/// balanced contiguous spans. Placement-aware flows
-/// ([`insert_scan_placed`](crate::insert_scan_placed)) compute the order
-/// from flop locations.
-///
-/// # Errors
-///
-/// As [`insert_scan`], plus [`DftError::OrderMismatch`] if `order` is
-/// not a permutation of the design's flip-flops.
-pub fn insert_scan_ordered(
-    netlist: &mut Netlist,
-    config: &ScanConfig,
-    order: &[CellId],
-) -> Result<ScanChains, DftError> {
     if config.chains == 0 {
         return Err(DftError::ZeroChains);
     }
-    let ffs: Vec<CellId> = order.to_vec();
+    let ffs: Vec<CellId> = netlist.ff_cells().map(|(id, _)| id).collect();
     if ffs.is_empty() {
         return Err(DftError::NoFlipFlops);
-    }
-    {
-        let mut expected: Vec<CellId> = netlist.ff_cells().map(|(id, _)| id).collect();
-        let mut got = ffs.clone();
-        expected.sort_unstable();
-        got.sort_unstable();
-        if expected != got {
-            return Err(DftError::OrderMismatch {
-                expected: expected.len(),
-                got: got.len(),
-            });
-        }
     }
     if config.chains > ffs.len() {
         return Err(DftError::TooManyChains {
@@ -242,7 +201,7 @@ pub fn insert_scan_ordered(
         });
     }
 
-    let se = netlist.add_input_port(&config.se_port)?;
+    let se = netlist.add_input_port(SE_PORT)?;
 
     let w = config.chains;
     let base = ffs.len() / w;
@@ -253,7 +212,7 @@ pub fn insert_scan_ordered(
         let len = base + usize::from(k < extra);
         let cells: Vec<CellId> = ffs[cursor..cursor + len].to_vec();
         cursor += len;
-        let si = netlist.add_input_port(&format!("{}[{k}]", config.si_prefix))?;
+        let si = netlist.add_input_port(&format!("{SI_PREFIX}[{k}]"))?;
         // Stitch: each flop's si pin is the previous stage's q.
         let mut prev = si;
         for &cell in &cells {
@@ -273,14 +232,14 @@ pub fn insert_scan_ordered(
             prev = netlist.cell(cell).output();
         }
         let so = prev;
-        netlist.add_output_port(&format!("{}[{k}]", config.so_prefix), so)?;
+        netlist.add_output_port(&format!("{SO_PREFIX}[{k}]"), so)?;
         chains.push(ScanChain { si, so, cells });
     }
     netlist.revalidate().map_err(DftError::Netlist)?;
     Ok(ScanChains {
         se,
         chains,
-        se_port: config.se_port.clone(),
+        se_port: SE_PORT.to_owned(),
     })
 }
 

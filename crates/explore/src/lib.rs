@@ -38,14 +38,12 @@ pub mod pareto;
 pub mod report;
 pub mod space;
 pub mod store;
-pub mod worker;
 
 pub use cache::{BuildKey, BuildPanic, CacheStats, SynthCache};
-pub use pareto::{front_of, knee_point, Objective, ALL_OBJECTIVES};
+pub use pareto::{front_of, knee_point, Objective};
 pub use report::{PointResult, PrunedPoint, SpaceReport};
-pub use space::{register_import, DesignSpec, ExplorePoint, SpaceSpec, WakeSpec};
+pub use space::{DesignSpec, ExplorePoint, SpaceSpec, WakeSpec};
 pub use store::{cache_salt, fnv64, DiskStore, StoreLimits, StoreStats};
-pub use worker::run_pool;
 
 use scanguard_codes::SequenceCodec;
 use scanguard_core::{
@@ -175,8 +173,8 @@ impl std::error::Error for ExploreError {}
 /// machinery — observability, cooperative cancellation, and the
 /// persistent build store the in-memory cache writes through to.
 ///
-/// [`explore`] and [`explore_obs`] are thin wrappers over this; a
-/// serving daemon fills in every field.
+/// [`explore`] is a thin wrapper over this; a serving daemon fills in
+/// every field.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExploreEnv<'a> {
     /// Worker threads (clamped to at least 1).
@@ -399,41 +397,27 @@ pub fn evaluate_point(
 /// With `spec.prune` off, the first (by point id) rejected point's
 /// message; otherwise only internal invariant failures.
 pub fn explore(spec: &SpaceSpec, threads: usize) -> Result<SpaceReport, String> {
-    explore_obs(spec, threads, None)
-}
-
-/// [`explore`] with observability: when a [`Recorder`] is supplied,
-/// every design point becomes a span on its worker's lane (code, `W`,
-/// wake model) and the run's totals land in the metrics registry —
-/// `explore.points`, `explore.pruned` and the synthesis-cache
-/// `explore.cache.hits` / `explore.cache.misses` (all pure functions
-/// of `spec`, so the deterministic snapshot is thread-count-blind).
-/// The report itself is unchanged by observation.
-///
-/// # Errors
-///
-/// As [`explore`].
-pub fn explore_obs(
-    spec: &SpaceSpec,
-    threads: usize,
-    obs: Option<&Recorder>,
-) -> Result<SpaceReport, String> {
     let env = ExploreEnv {
         threads,
-        obs,
         ..ExploreEnv::default()
     };
     explore_env(spec, &env).map_err(|e| e.to_string())
 }
 
-/// [`explore_obs`] with the full environment: a persistent
-/// [`DiskStore`] the per-run synthesis cache writes through to, and a
-/// [`CancelToken`] that aborts the run between points.
+/// [`explore`] with the full environment: a persistent [`DiskStore`]
+/// the per-run synthesis cache writes through to, a [`CancelToken`]
+/// that aborts the run between points, and observability. When a
+/// [`Recorder`] is supplied, every design point becomes a span on its
+/// worker's lane (code, `W`, wake model) and the run's totals land in
+/// the metrics registry — `explore.points`, `explore.pruned` and the
+/// synthesis-cache `explore.cache.hits` / `explore.cache.misses` (all
+/// pure functions of `spec`, so the deterministic snapshot is
+/// thread-count-blind).
 ///
-/// The report stays a pure function of `spec` — the store only changes
-/// *how fast* a miss resolves (deserialization instead of synthesis),
-/// never what it resolves to, so warm and cold runs serialize to
-/// identical bytes.
+/// The report stays a pure function of `spec` — neither the recorder
+/// nor the store changes it. The store only changes *how fast* a miss
+/// resolves (deserialization instead of synthesis), never what it
+/// resolves to, so warm and cold runs serialize to identical bytes.
 ///
 /// # Errors
 ///
@@ -560,7 +544,12 @@ mod tests {
             metrics: true,
             ..RecorderConfig::default()
         });
-        let observed = explore_obs(&spec, 4, Some(&rec)).unwrap();
+        let env = ExploreEnv {
+            threads: 4,
+            obs: Some(&rec),
+            ..ExploreEnv::default()
+        };
+        let observed = explore_env(&spec, &env).unwrap();
         let plain = explore(&spec, 4).unwrap();
         assert_eq!(observed, plain, "observation must not change the report");
         let snap = rec.metrics_snapshot();

@@ -28,17 +28,6 @@ pub enum Objective {
     MinSleepUs,
 }
 
-/// Every objective, in the canonical order.
-pub const ALL_OBJECTIVES: [Objective; 7] = [
-    Objective::AreaOverheadPct,
-    Objective::LatencyNs,
-    Objective::EnergyNj,
-    Objective::WakeCycles,
-    Objective::PeakBounceV,
-    Objective::ResidualUpsetProb,
-    Objective::MinSleepUs,
-];
-
 impl Objective {
     /// Parses one objective name (short or field-style spelling).
     ///
@@ -230,7 +219,15 @@ mod tests {
 
     #[test]
     fn objective_names_round_trip() {
-        for o in ALL_OBJECTIVES {
+        for o in [
+            Objective::AreaOverheadPct,
+            Objective::LatencyNs,
+            Objective::EnergyNj,
+            Objective::WakeCycles,
+            Objective::PeakBounceV,
+            Objective::ResidualUpsetProb,
+            Objective::MinSleepUs,
+        ] {
             assert_eq!(Objective::parse(o.name()).unwrap(), o);
         }
         assert!(Objective::parse("speed").is_err());

@@ -13,9 +13,10 @@ use scanguard_core::CodeChoice;
 use scanguard_designs::{mesh, register_file, Datapath, Fifo};
 use scanguard_netlist::Netlist;
 use scanguard_power::WakeStrategy;
+use std::sync::Arc;
 
 /// A gated design the explorer can synthesize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum DesignSpec {
     /// `depth x width` FIFO (the paper's case study is 32x32).
     Fifo {
@@ -46,40 +47,26 @@ pub enum DesignSpec {
         /// Grid columns (>= 2).
         cols: usize,
     },
-    /// A netlist imported from structural Verilog and registered in
-    /// this process under a content hash (see [`register_import`]).
-    ///
-    /// The variant stays `Copy` and serializable, so imported designs
-    /// flow through the explorer's point keys and caches like any
-    /// generator — but [`DesignSpec::netlist`] can only resolve it in
-    /// the process that called [`register_import`].
+    /// A netlist imported from structural Verilog, carried with the
+    /// hash of its source text. The hash names it in labels, point keys
+    /// and store keys, so equal sources share builds.
     Import {
         /// FNV-1a hash of the imported source text.
         key: u64,
+        /// The imported netlist.
+        netlist: Arc<Netlist>,
     },
 }
 
-/// Process-global registry backing [`DesignSpec::Import`].
-fn import_registry() -> &'static std::sync::Mutex<std::collections::HashMap<u64, Netlist>> {
-    static REGISTRY: std::sync::OnceLock<
-        std::sync::Mutex<std::collections::HashMap<u64, Netlist>>,
-    > = std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()))
+/// Specs are equal when their labels are: an import's key is the hash
+/// of the source text its netlist was parsed from.
+impl PartialEq for DesignSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.label() == other.label()
+    }
 }
 
-/// Registers an imported netlist under `key` (the FNV-1a hash of its
-/// source text) and returns the [`DesignSpec::Import`] spec that
-/// resolves to it for the rest of the process lifetime.
-///
-/// Re-registering the same key replaces the stored netlist — callers
-/// hash the source, so identical keys mean identical designs.
-pub fn register_import(key: u64, netlist: Netlist) -> DesignSpec {
-    import_registry()
-        .lock()
-        .expect("import registry poisoned")
-        .insert(key, netlist);
-    DesignSpec::Import { key }
-}
+impl Eq for DesignSpec {}
 
 impl DesignSpec {
     /// Parses a compact design name: `fifo32x32`, `datapath8x16`,
@@ -121,22 +108,17 @@ impl DesignSpec {
     /// The compact name this spec parses from.
     #[must_use]
     pub fn label(&self) -> String {
-        match *self {
+        match self {
             DesignSpec::Fifo { depth, width } => format!("fifo{depth}x{width}"),
             DesignSpec::Datapath { regs, width } => format!("datapath{regs}x{width}"),
             DesignSpec::RegFile { words, width } => format!("regfile{words}x{width}"),
             DesignSpec::Mesh { rows, cols } => format!("mesh{rows}x{cols}"),
-            DesignSpec::Import { key } => format!("import{key:016x}"),
+            DesignSpec::Import { key, .. } => format!("import{key:016x}"),
         }
     }
 
     /// Generates the design's netlist (fresh each call; generation is
-    /// deterministic).
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`DesignSpec::Import`] specs whose key was never
-    /// passed to [`register_import`] in this process.
+    /// deterministic), or copies the imported one.
     #[must_use]
     pub fn netlist(&self) -> Netlist {
         match *self {
@@ -144,21 +126,17 @@ impl DesignSpec {
             DesignSpec::Datapath { regs, width } => Datapath::generate(regs, width).netlist,
             DesignSpec::RegFile { words, width } => register_file(words, width),
             DesignSpec::Mesh { rows, cols } => mesh(rows, cols),
-            DesignSpec::Import { key } => import_registry()
-                .lock()
-                .expect("import registry poisoned")
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| {
-                    panic!("imported design {key:016x} is not registered in this process")
-                }),
+            DesignSpec::Import { ref netlist, .. } => Netlist::clone(netlist),
         }
     }
 
-    /// Flop count of the generated netlist (what the chain axis divides).
+    /// Flop count of the netlist (what the chain axis divides).
     #[must_use]
     pub fn ff_count(&self) -> usize {
-        self.netlist().ff_count()
+        match self {
+            DesignSpec::Import { netlist, .. } => netlist.ff_count(),
+            generated => generated.netlist().ff_count(),
+        }
     }
 }
 
@@ -213,7 +191,7 @@ impl WakeSpec {
 }
 
 /// One candidate configuration: what a worker evaluates.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorePoint {
     /// Stable index within the enumerated space (results are ordered by
     /// it regardless of evaluation order).
@@ -245,7 +223,7 @@ impl ExplorePoint {
 
 /// The space to explore: one design crossed with code, chain-count and
 /// wake axes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpaceSpec {
     /// The gated design.
     pub design: DesignSpec,
@@ -319,7 +297,7 @@ impl SpaceSpec {
                 for &wake in &self.wakes {
                     points.push(ExplorePoint {
                         id: points.len(),
-                        design: self.design,
+                        design: self.design.clone(),
                         chains: w,
                         code,
                         wake,

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// FNV-1a over a byte string: the store's address hash, the per-point
-/// seed source, and the key imported sources are cached and registered
+/// seed source, and the key imported sources are cached and labelled
 /// under.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {

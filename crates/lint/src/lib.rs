@@ -12,7 +12,7 @@
 //! crate checks all of that statically, the way a pre-scan DRC pass
 //! would, over:
 //!
-//! * a bare [`Netlist`](scanguard_netlist::Netlist) — structural rules
+//! * a bare [`Netlist`] — structural rules
 //!   (`SG0xx`: floating/multi-driven nets, dead cells, combinational
 //!   loops);
 //! * a netlist plus a [`DesignView`] (chains, monitor cells, domain

@@ -146,17 +146,6 @@ impl NetlistBuilder {
         self.drive(target, GateKind::Buf, vec![src])
     }
 
-    /// Fallible variant of [`connect`](Self::connect); see
-    /// [`try_drive`](Self::try_drive).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::MultipleDrivers`] when `target` already has
-    /// a driver or is a primary input.
-    pub fn try_connect(&mut self, target: NetId, src: NetId) -> Result<CellId, NetlistError> {
-        self.try_drive(target, GateKind::Buf, vec![src])
-    }
-
     // --- combinational conveniences -----------------------------------
 
     /// Constant 0.
@@ -397,7 +386,7 @@ mod tests {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a");
         let fb = b.net("fb");
-        b.try_connect(fb, a).unwrap();
+        b.connect(fb, a);
         let err = b.try_drive(fb, GateKind::Not, vec![a]).unwrap_err();
         match err {
             NetlistError::MultipleDrivers { net, name, .. } => {

@@ -66,7 +66,7 @@ pub use error::NetlistError;
 pub use gate::GateKind;
 pub use id::{CellId, NetId};
 pub use library::{CellLibrary, CellParams};
-pub use logic::{logic_vec, Logic, LogicSet};
+pub use logic::{Logic, LogicSet};
 pub use netlist::Netlist;
 pub use report::AreaReport;
 pub use timing::{critical_path, TimingReport};

@@ -119,11 +119,6 @@ impl CellLibrary {
     pub fn params(&self, kind: GateKind) -> CellParams {
         self.params[kind as usize]
     }
-
-    /// Overrides the parameters of one cell kind (for calibration sweeps).
-    pub fn set_params(&mut self, kind: GateKind, p: CellParams) {
-        self.params[kind as usize] = p;
-    }
 }
 
 impl Default for CellLibrary {
@@ -163,14 +158,5 @@ mod tests {
         assert!(a(GateKind::Dff) < a(GateKind::Sdff));
         assert!(a(GateKind::Sdff) < a(GateKind::Rsdff));
         assert!(a(GateKind::Rdff) < a(GateKind::Rsdff));
-    }
-
-    #[test]
-    fn set_params_overrides() {
-        let mut lib = CellLibrary::st120nm();
-        let mut p = lib.params(GateKind::Xor2);
-        p.area_um2 = 99.0;
-        lib.set_params(GateKind::Xor2, p);
-        assert_eq!(lib.params(GateKind::Xor2).area_um2, 99.0);
     }
 }

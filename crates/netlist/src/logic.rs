@@ -57,15 +57,6 @@ impl Logic {
         }
     }
 
-    /// Converts to `bool`, mapping [`Logic::X`] to `false`.
-    ///
-    /// Use only where an X has already been ruled out or where a
-    /// pessimistic default is acceptable (e.g. toggle counting).
-    #[must_use]
-    pub fn to_bool_lossy(self) -> bool {
-        matches!(self, Logic::One)
-    }
-
     /// Multiplexer with ternary select: returns `a` when `sel` is `0`,
     /// `b` when `sel` is `1`, and `X` when `sel` is `X` unless both data
     /// inputs agree on a known value.
@@ -264,20 +255,6 @@ impl fmt::Display for Logic {
     }
 }
 
-/// Converts a slice of booleans into logic levels.
-///
-/// # Examples
-///
-/// ```
-/// use scanguard_netlist::{logic_vec, Logic};
-///
-/// assert_eq!(logic_vec(&[true, false]), vec![Logic::One, Logic::Zero]);
-/// ```
-#[must_use]
-pub fn logic_vec(bits: &[bool]) -> Vec<Logic> {
-    bits.iter().map(|&b| Logic::from(b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +346,5 @@ mod tests {
         assert_eq!(Logic::from(false), Logic::Zero);
         assert_eq!(Logic::One.to_bool(), Some(true));
         assert_eq!(Logic::X.to_bool(), None);
-        assert!(!Logic::X.to_bool_lossy());
     }
 }

@@ -24,17 +24,6 @@ pub struct TimingReport {
     pub output_ps: f64,
 }
 
-impl TimingReport {
-    /// Maximum functional clock frequency in MHz (ignoring setup/skew).
-    #[must_use]
-    pub fn max_clock_mhz(&self) -> f64 {
-        if self.functional_ps <= 0.0 {
-            return f64::INFINITY;
-        }
-        1.0e6 / self.functional_ps
-    }
-}
-
 /// Computes worst arrival times using the library's per-cell delays.
 ///
 /// # Panics
@@ -128,7 +117,6 @@ mod tests {
         let t = critical_path(&nl, &CellLibrary::st120nm());
         // DFF c2q (180) + NOT (40) at the next d pin.
         assert!((t.functional_ps - 220.0).abs() < 1e-9, "{t:?}");
-        assert!(t.max_clock_mhz() > 4000.0);
     }
 
     #[test]

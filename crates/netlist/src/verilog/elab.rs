@@ -29,7 +29,7 @@ const RESERVED: &[&str] = &["clk", "retain"];
 /// Verilog gate primitives (`and`, `nand`, ...), `assign`-style
 /// netlists, and foreign cells via the built-in alias table (sky130
 /// `sdfsbp`-style scan cells, `cv32e40p_clock_gate` wrappers — see
-/// [`super::alias`]). The returned netlist is validated.
+/// the `alias` module). The returned netlist is validated.
 ///
 /// This is the exact inverse of [`crate::to_verilog`]: for any
 /// validated netlist `n`, `from_verilog(&to_verilog(&n))` reconstructs

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! let squares = scanguard_par::run_pool(4, 2, |i| i * i);
+//! let squares = scanguard_par::run_pool_obs(4, 2, None, |_, i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9]);
 //! ```
 
@@ -38,7 +38,7 @@ use std::time::Instant;
 /// the budget.
 ///
 /// Determinism is untouched: a grant only sizes the pool, and
-/// [`run_pool`] results are thread-count-blind by construction.
+/// [`run_pool_obs`] results are thread-count-blind by construction.
 #[derive(Debug)]
 pub struct PoolBudget {
     slots: usize,
@@ -192,28 +192,15 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// Evaluates `eval(i)` for every `i < n` on `threads` workers and
-/// returns the results in index order.
+/// Evaluates `eval(worker, i)` for every `i < n` on `threads` workers
+/// and returns the results in index order.
 ///
 /// `eval` must be a pure function of the index for the determinism
 /// guarantee to hold (shared caches are fine: a memoized build is the
-/// same value whoever computes it).
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_pool<T, F>(n: usize, threads: usize, eval: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_pool_obs(n, threads, None, |_, i| eval(i))
-}
-
-/// [`run_pool`] with observability: `eval` additionally receives the
-/// worker index (so callers can emit onto the right [`Lane::Worker`]),
-/// and — when a [`Recorder`] is supplied — each worker's whole loop
-/// becomes a span on its lane, with per-pool/per-worker metrics:
+/// same value whoever computes it). It also receives the worker index
+/// (so callers can emit onto the right [`Lane::Worker`]), and — when a
+/// [`Recorder`] is supplied — each worker's whole loop becomes a span on
+/// its lane, with per-pool/per-worker metrics:
 ///
 /// * `par.tasks` (deterministic): total tasks executed, `== n`;
 /// * `par.workers` (volatile): distinct worker lanes spawned — a
@@ -336,7 +323,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_index_order() {
-        let out = run_pool(100, 8, |i| {
+        let out = run_pool_obs(100, 8, None, |_, i| {
             // Vary per-item latency to scramble completion order.
             std::thread::sleep(std::time::Duration::from_micros((i % 7) as u64));
             i * 2
@@ -347,18 +334,21 @@ mod tests {
     #[test]
     fn single_thread_matches_parallel() {
         let f = |i: usize| i.wrapping_mul(0x9E37_79B9) ^ (i << 3);
-        assert_eq!(run_pool(64, 1, f), run_pool(64, 8, f));
+        assert_eq!(
+            run_pool_obs(64, 1, None, |_, i| f(i)),
+            run_pool_obs(64, 8, None, |_, i| f(i))
+        );
     }
 
     #[test]
     fn empty_and_oversubscribed_pools_work() {
-        assert!(run_pool(0, 4, |i| i).is_empty());
-        assert_eq!(run_pool(3, 64, |i| i), vec![0, 1, 2]);
+        assert!(run_pool_obs(0, 4, None, |_, i| i).is_empty());
+        assert_eq!(run_pool_obs(3, 64, None, |_, i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_one() {
-        assert_eq!(run_pool(5, 0, |i| i + 1), vec![1, 2, 3, 4, 5]);
+        assert_eq!(run_pool_obs(5, 0, None, |_, i| i + 1), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -468,7 +458,7 @@ mod tests {
         let f = |i: usize| i.wrapping_mul(0x9E37_79B9) ^ (i << 3);
         assert_eq!(
             run_pool_cancel(64, 8, None, Some(&token), |_, i| f(i)).unwrap(),
-            run_pool(64, 8, f)
+            run_pool_obs(64, 8, None, |_, i| f(i))
         );
     }
 
@@ -482,7 +472,7 @@ mod tests {
         let f = |i: usize| i.wrapping_mul(0x9E37_79B9) ^ (i << 3);
         assert_eq!(
             run_pool_obs(64, 8, Some(&rec), |_, i| f(i)),
-            run_pool(64, 8, f)
+            run_pool_obs(64, 8, None, |_, i| f(i))
         );
     }
 }

@@ -16,9 +16,10 @@
 //!   and slow-ramp activation (ref \[8\]), trading bounce for latency;
 //! * [`UpsetModel`] — thresholded, variation-aware, **spatially
 //!   clustered** retention upsets (the "closely clustered" burst errors
-//!   of the paper's Sec. IV);
-//! * [`ConventionalController`] — the Fig. 3(a) power-gating FSM the
-//!   proposed monitoring controller (in `scanguard-core`) extends.
+//!   of the paper's Sec. IV).
+//!
+//! The power-gating sequence itself (the Fig. 3(a) sleep/wake phases)
+//! lives inside the proposed Fig. 3(b) controller in `scanguard-core`.
 //!
 //! # Examples
 //!
@@ -41,14 +42,10 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod controller;
-mod mission;
 mod rush;
 mod upset;
 mod wake;
 
-pub use controller::{ControllerTiming, ConventionalController, PgOutputs, PgPhase};
-pub use mission::{mission_energy, DutyCycle, GatingCosts, MissionReport};
 pub use rush::{PowerNetwork, RushTransient, Sample};
 pub use upset::UpsetModel;
 pub use wake::{WakeEvent, WakeStrategy};

@@ -199,17 +199,6 @@ pub struct RushTransient {
     pub samples: Vec<Sample>,
 }
 
-impl RushTransient {
-    /// Settle time expressed in clock cycles at `clock_mhz` (rounded up,
-    /// minimum 1) — the "wait until the power supply becomes stable" step
-    /// of the wake-up sequence.
-    #[must_use]
-    pub fn settle_cycles(&self, clock_mhz: f64) -> u64 {
-        let period_s = 1.0e-6 / clock_mhz;
-        ((self.settle_time_s / period_s).ceil() as u64).max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,16 +241,6 @@ mod tests {
         let t = net.transient_from(1.0, 0.0);
         assert!(t.peak_current_a < 1e-12);
         assert!(t.peak_bounce_v < 1e-12);
-    }
-
-    #[test]
-    fn settle_cycles_scale_with_clock() {
-        let net = PowerNetwork::default_120nm();
-        let t = net.transient(1.0);
-        let at100 = t.settle_cycles(100.0);
-        let at200 = t.settle_cycles(200.0);
-        assert!(at200 >= at100, "faster clock means more settle cycles");
-        assert!(at100 >= 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! A minimal blocking client for the TCP transport: one connection,
 //! one request line out, one response line back.
 
-use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -34,20 +33,4 @@ pub fn request_line(addr: &str, line: &str, timeout: Option<Duration>) -> Result
         Ok(_) => Ok(resp.trim_end().to_owned()),
         Err(e) => Err(format!("reading response: {e}")),
     }
-}
-
-/// [`request_line`] with JSON values on both ends.
-///
-/// # Errors
-///
-/// As [`request_line`], plus a decode error when the response line is
-/// not valid JSON.
-pub fn request_value(
-    addr: &str,
-    request: &Value,
-    timeout: Option<Duration>,
-) -> Result<Value, String> {
-    let line = serde_json::to_string(request).map_err(|e| format!("encoding request: {e}"))?;
-    let resp = request_line(addr, &line, timeout)?;
-    serde_json::from_str(&resp).map_err(|e| format!("decoding response: {e}"))
 }

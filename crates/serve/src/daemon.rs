@@ -149,10 +149,10 @@ impl Daemon {
         self.series.record(t_ms, &self.rec.metrics_snapshot());
     }
 
-    /// Spawns the background sampler thread: one [`sample_now`]
-    /// (Self::sample_now) per configured tick until `term` goes true or
-    /// the daemon drains. Returns `None` when sampling is disabled
-    /// (`sample_interval_ms == 0`).
+    /// Spawns the background sampler thread: one
+    /// [`sample_now`](Self::sample_now) per configured tick until `term`
+    /// goes true or the daemon drains. Returns `None` when sampling is
+    /// disabled (`sample_interval_ms == 0`).
     pub fn start_sampler(
         self: &Arc<Self>,
         term: &Arc<AtomicBool>,
@@ -348,12 +348,16 @@ impl Daemon {
             let ms = req.timeout_ms.unwrap_or(0);
             return Err((ErrorCode::Timeout, format!("deadline of {ms} ms exceeded")));
         }
-        match result {
-            Err((ErrorCode::Failed, msg)) if token.is_cancelled() => {
-                Err((ErrorCode::Cancelled, msg))
-            }
-            other => other,
+        // An acknowledged `cancel` wins the same way: it fired while the
+        // request was still registered, so the token reads cancelled
+        // here, whatever the handler returned.
+        if token.is_cancelled() {
+            let msg = result
+                .err()
+                .map_or_else(|| "request cancelled".to_owned(), |(_, m)| m);
+            return Err((ErrorCode::Cancelled, msg));
         }
+        result
     }
 
     // -------------------------------------------------- control requests
@@ -827,6 +831,38 @@ mod tests {
             r#"{"id":24,"type":"metrics","series":true,"window_ms":500,"timeout_ms":100}"#,
         ));
         ok_result(&d.handle_line(r#"{"type":"status"}"#));
+    }
+
+    #[test]
+    fn acknowledged_cancel_makes_its_target_answer_cancelled() {
+        // Holding every worker slot parks the request after it registers
+        // and before it runs, so the cancel always finds it in flight.
+        // Scalar coverage never polls the token: the run completes, and
+        // the acknowledged cancel must still decide the answer.
+        let d = daemon();
+        let held = d.budget.acquire(d.budget.slots());
+        let worker = {
+            let d = d.clone();
+            std::thread::spawn(move || {
+                d.handle_line(
+                    r#"{"id":1,"type":"coverage","depth":8,"width":8,"chains":8,"code":"crc16","patterns":4,"max_faults":40,"engine":"scalar"}"#,
+                )
+            })
+        };
+        loop {
+            let resp = d.handle_line(r#"{"id":2,"type":"cancel","target":1}"#);
+            if resp.contains(r#""ok":true"#) {
+                let target = ok_result(&resp).get("cancelled").and_then(Value::as_u64);
+                assert_eq!(target, Some(1));
+                break;
+            }
+            assert_eq!(error_of(&resp).0, "unknown-target", "{resp}");
+            std::thread::yield_now();
+        }
+        drop(held);
+        let resp = worker.join().unwrap();
+        assert_eq!(error_of(&resp).0, "cancelled", "{resp}");
+        assert_eq!(d.inflight.lock().unwrap().len(), 0);
     }
 
     #[test]

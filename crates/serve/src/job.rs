@@ -19,8 +19,8 @@ use scanguard_dft::{
     FaultSimEngine, ScanAccess,
 };
 use scanguard_explore::{
-    explore_env, fnv64, front_of, knee_point, register_import, DesignSpec, DiskStore, ExploreEnv,
-    ExploreError, Objective, SpaceReport, SpaceSpec,
+    explore_env, fnv64, front_of, knee_point, DesignSpec, DiskStore, ExploreEnv, ExploreError,
+    Objective, SpaceReport, SpaceSpec,
 };
 use scanguard_lint::{lint_netlist, LintContext, LintReport, RuleSet, Severity, UpsetReport};
 use scanguard_netlist::{CellLibrary, Netlist};
@@ -30,6 +30,7 @@ use serde::{Number, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Keys every wire request may carry, whatever its kind.
 const ENVELOPE: [&str; 3] = ["id", "type", "timeout_ms"];
@@ -276,13 +277,14 @@ impl NetlistSource<'_> {
     }
 
     /// The design spec explore enumerates: the generator itself, or the
-    /// imported netlist registered under the hash of its text.
+    /// imported netlist under the hash of its text.
     fn spec(&self) -> Result<DesignSpec, String> {
         match self {
-            NetlistSource::Generator(spec) => Ok(*spec),
-            NetlistSource::Text { text, .. } => {
-                Ok(register_import(fnv64(text.as_bytes()), self.netlist()?))
-            }
+            NetlistSource::Generator(spec) => Ok(spec.clone()),
+            NetlistSource::Text { text, .. } => Ok(DesignSpec::Import {
+                key: fnv64(text.as_bytes()),
+                netlist: Arc::new(self.netlist()?),
+            }),
         }
     }
 }

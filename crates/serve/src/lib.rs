@@ -32,7 +32,7 @@ pub mod http;
 pub mod job;
 pub mod protocol;
 
-pub use client::{request_line, request_value};
+pub use client::request_line;
 pub use daemon::{serve_stdio, serve_tcp, Daemon, ServeConfig};
 pub use http::serve_http;
 pub use job::{parse_code, Job, JobCtx, Params, SynthSpec};

@@ -61,12 +61,6 @@ impl Domain {
         &self.name
     }
 
-    /// `true` while powered.
-    #[must_use]
-    pub fn is_powered(&self) -> bool {
-        self.powered
-    }
-
     /// Current RETAIN level.
     #[must_use]
     pub fn retain(&self) -> bool {
@@ -88,7 +82,7 @@ mod tests {
     fn new_domain_state() {
         let d = Domain::new("cpu", true);
         assert_eq!(d.name(), "cpu");
-        assert!(d.is_powered());
+        assert!(d.powered);
         assert!(!d.retain());
     }
 }

@@ -38,12 +38,6 @@ impl EnergyWindow {
         self.dynamic_pj / (self.cycles as f64 * period_ns)
     }
 
-    /// Window duration in ns at the given clock frequency.
-    #[must_use]
-    pub fn duration_ns(&self, clock_mhz: f64) -> f64 {
-        self.cycles as f64 * 1000.0 / clock_mhz
-    }
-
     /// Energy in nJ (the unit of the paper's tables).
     #[must_use]
     pub fn energy_nj(&self) -> f64 {
@@ -84,7 +78,6 @@ mod tests {
         };
         // 10 cycles at 100 MHz = 100 ns; 500 pJ / 100 ns = 5 mW.
         assert!((w.power_mw(100.0) - 5.0).abs() < 1e-12);
-        assert!((w.duration_ns(100.0) - 100.0).abs() < 1e-12);
         assert!((w.energy_nj() - 0.5).abs() < 1e-12);
     }
 

@@ -20,8 +20,8 @@ fn main() -> Result<(), String> {
     let spec = SpaceSpec::paper(design);
     println!(
         "exploring {} ({} flops): {} points on {threads} threads",
-        design.label(),
-        design.ff_count(),
+        spec.design.label(),
+        spec.design.ff_count(),
         spec.enumerate().len()
     );
     let report = explore(&spec, threads)?;
