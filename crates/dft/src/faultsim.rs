@@ -29,12 +29,25 @@
 //! group's active mask. Both engines produce byte-identical reports —
 //! same detections, same per-fault cycle accounting — at any thread
 //! count and any lane packing, pinned by differential tests.
+//!
+//! The wide engine settles the whole design only on capture cycles. On
+//! a shift or flush cycle `se` is 1, no scan flop reads its `d` pin, and
+//! only the scan path and the scan-outs can change what the tester
+//! sees, so the group settles the simulator's cone program: the
+//! [`LiveCone`] of the scan-outs and flop outputs under the shift
+//! levels (on the paper FIFO, 92 of 4,048 combinational cells). A fault
+//! whose stuck level lies outside its net's shift levels — a tie cell
+//! stuck at its opposite level, a buffer on `se` stuck at 0 — widens
+//! its group's cone by that level, so every lane's unmasked reads stay
+//! inside the cells the group settles.
 
 use crate::{DftError, Lfsr, ScanChains, TestModeConfig};
-use scanguard_netlist::{CellId, CellLibrary, GateKind, Logic, LogicWord, NetId, Netlist};
+use scanguard_netlist::{
+    CellId, CellLibrary, GateKind, Logic, LogicSet, LogicWord, NetId, Netlist,
+};
 use scanguard_obs::{arg, HistogramHandle, Lane, Recorder};
 use scanguard_par::run_pool_obs;
-use scanguard_sim::{Simulator, WideSimulator};
+use scanguard_sim::{LiveCone, Simulator, WideSimulator};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -534,6 +547,39 @@ impl Tester<'_> {
         }
     }
 
+    /// The cells a shift or flush settle must evaluate: the live cone of
+    /// the scan-outs and of every flop output under the tester's shift
+    /// levels. `se` and, under test-mode access, `test_mode` are `{1}`;
+    /// the driven scan-ins and the free primary inputs can take any
+    /// level; every other input port (the held-low controls, and the
+    /// per-chain `si` ports under test mode) only ever sees the initial
+    /// 0. Each `widen` entry adds a stuck-at level to its net.
+    fn shift_cone(&self, widen: &[(NetId, Logic)]) -> LiveCone {
+        let se = self.access.se();
+        let test_mode = match self.access {
+            ScanAccess::Direct(_) => None,
+            ScanAccess::TestMode(_, tm) => Some(tm.test_mode),
+        };
+        let driven: HashSet<NetId> = self
+            .access
+            .si_nets()
+            .into_iter()
+            .chain(self.free_pi.iter().copied())
+            .collect();
+        let level = |net| {
+            if net == se || Some(net) == test_mode {
+                LogicSet::ONE
+            } else if driven.contains(&net) {
+                LogicSet::ANY
+            } else {
+                LogicSet::ZERO
+            }
+        };
+        let flops = self.netlist.ff_cells().map(|(_, c)| c.output());
+        let roots = self.access.so_nets().into_iter().chain(flops);
+        LiveCone::walk(self.netlist, self.netlist.topo_order(), level, widen, roots)
+    }
+
     /// Simulates up to 63 faults at once on a [`WideSimulator`]: lane 0
     /// runs the golden machine, lane `k + 1` carries `faults[k]`, and
     /// every observed net is XOR-compared against lane 0 the cycle it
@@ -546,10 +592,34 @@ impl Tester<'_> {
     /// `detected_at`, and the analytic cycle counts reproduce what the
     /// scalar run's `sim.cycles()` reads when it drops — `full_cycles`
     /// for a fault the whole test never exposes.
-    fn simulate_group(&self, faults: &[Fault], full_cycles: u64) -> Vec<FaultOutcome> {
+    ///
+    /// Shift and flush cycles settle only `shift_cone`, the fault-free
+    /// [`shift_cone`](Self::shift_cone); capture cycles settle every
+    /// cell. A lane can leave the cone's levels only through its own
+    /// stuck net, so when a fault's level lies outside its net's set
+    /// the group settles a cone recomputed with each such net widened
+    /// by its stuck level: a widened net on the scan path pulls in the
+    /// logic it unmasks, and no lane reads a stale value through an
+    /// unmasked pin.
+    fn simulate_group(
+        &self,
+        faults: &[Fault],
+        full_cycles: u64,
+        shift_cone: &LiveCone,
+    ) -> Vec<FaultOutcome> {
         let lanes = faults.len();
         debug_assert!((1..=63).contains(&lanes), "group of {lanes} fault lanes");
         let mut sim = WideSimulator::new(self.netlist);
+        let widen: Vec<(NetId, Logic)> = faults
+            .iter()
+            .map(|f| (self.netlist.cell(f.cell).output(), f.stuck.level()))
+            .filter(|&(net, level)| !shift_cone.level(net).contains(level))
+            .collect();
+        if widen.is_empty() {
+            sim.compile_cone(shift_cone.comb());
+        } else {
+            sim.compile_cone(self.shift_cone(&widen).comb());
+        }
         if let Some(rec) = self.obs {
             sim.attach_obs(rec);
         }
@@ -567,7 +637,7 @@ impl Tester<'_> {
 
         // Every observation below settles the new inputs first, so each
         // clock edge is a bare `tick`: a settle around it would evaluate
-        // every cell once more for nothing.
+        // the cells once more for nothing.
         // Bits 1..=lanes are live fault lanes; lane 0 (golden) never drops.
         let mut active: u64 = (!0u64 >> (63 - lanes)) & !1;
         let mut detected_at: Vec<Option<usize>> = vec![None; lanes];
@@ -580,7 +650,7 @@ impl Tester<'_> {
                     for (&net, &bit) in si.iter().zip(ins) {
                         sim.set_net(net, bit);
                     }
-                    sim.settle();
+                    sim.settle_cone();
                     let mut mism = 0u64;
                     for &net in &so {
                         mism |= mismatch_word(sim.value(net));
@@ -625,7 +695,7 @@ impl Tester<'_> {
                 for &net in &si {
                     sim.set_net(net, Logic::Zero);
                 }
-                sim.settle();
+                sim.settle_cone();
                 let mut mism = 0u64;
                 for &net in &so {
                     mism |= mismatch_word(sim.value(net));
@@ -831,8 +901,9 @@ fn fault_coverage_impl(
             // plus a capture per pattern, then the l-cycle flush.
             let full_cycles = cfg.patterns as u64 * (l as u64 + 1) + l as u64;
             let groups: Vec<&[Fault]> = sampled.chunks(group_lanes.clamp(1, WIDE_GROUP)).collect();
+            let shift_cone = tester.shift_cone(&[]);
             let group_outcomes = run_pool_obs(groups.len(), cfg.threads, obs, |worker, g| {
-                let outcomes = tester.simulate_group(groups[g], full_cycles);
+                let outcomes = tester.simulate_group(groups[g], full_cycles, &shift_cone);
                 if let Some(rec) = obs {
                     for (&fault, outcome) in groups[g].iter().zip(&outcomes) {
                         emit_fault_instant(rec, worker, cfg.patterns, fault, outcome);
@@ -1204,6 +1275,81 @@ mod tests {
             canonical_json(run(FaultSimEngine::Wide)),
             "wide engine diverged through the concatenated test chains"
         );
+    }
+
+    /// A scanned design whose shift levels two faults break: `se`
+    /// reaches the last two flops through a buffer, and a `TieHi`
+    /// selects the scan path into the third flop. Buffer stuck-at-0
+    /// makes those flops capture their `d` logic while shifting; tie
+    /// stuck-at-0 switches the mux to its functional arm. Both pull in
+    /// logic the fault-free shift cone leaves out.
+    fn shift_breaking() -> (Netlist, ScanChains, Vec<Fault>) {
+        let mut b = NetlistBuilder::new("shift_breaking");
+        let d = b.input_bus("d", 4);
+        let si = b.input("si");
+        let se = b.input("se");
+        let se_buf = b.buf(se);
+        let tie = b.tie_hi();
+        let q3 = b.net("q3");
+        let d0 = b.xor2(d[0], q3);
+        let (q0, r0) = b.sdff("r0", d0, si, se);
+        let d1 = b.and2(d[1], q0);
+        let (q1, r1) = b.sdff("r1", d1, q0, se);
+        let arm = b.xor2(d[2], q0);
+        let scan_in2 = b.mux2(tie, arm, q1);
+        let d2 = b.or2(d[2], q1);
+        let (q2, r2) = b.sdff("r2", d2, scan_in2, se_buf);
+        let d3 = b.xnor2(d[3], q2);
+        let r3 = b.drive(q3, GateKind::Sdff, vec![d3, q2, se_buf]);
+        b.output("so", q3);
+        let y = b.and2(q1, q2);
+        b.output("y", y);
+        let nl = b.finish().unwrap();
+        let sc = ScanChains {
+            se,
+            chains: vec![crate::ScanChain {
+                si,
+                so: q3,
+                cells: vec![r0, r1, r2, r3],
+            }],
+            se_port: "se".into(),
+        };
+        let faults = enumerate_faults(&nl);
+        for net in [se_buf, tie] {
+            let breaking = Fault {
+                cell: nl.driver(net).unwrap(),
+                stuck: StuckAt::Zero,
+            };
+            assert!(faults.contains(&breaking));
+        }
+        (nl, sc, faults)
+    }
+
+    /// The per-group cone widening: a group holding faults that leave
+    /// the shift levels must settle the logic they unmask, or its lanes
+    /// read stale values while shifting.
+    #[test]
+    fn faults_that_break_the_shift_levels_match_scalar() {
+        let (nl, sc, faults) = shift_breaking();
+        let lib = CellLibrary::st120nm();
+        let run = |engine: FaultSimEngine, threads: usize| {
+            let cfg = FaultSimConfig {
+                patterns: 6,
+                threads,
+                engine,
+                ..FaultSimConfig::default()
+            };
+            fault_coverage(&nl, ScanAccess::Direct(&sc), &lib, &faults, &cfg).unwrap()
+        };
+        let scalar = run(FaultSimEngine::Scalar, 1);
+        assert!(scalar.detected > 0, "fixture must detect something");
+        for threads in [1, 3] {
+            assert_eq!(
+                canonical_json(scalar.clone()),
+                canonical_json(run(FaultSimEngine::Wide, threads)),
+                "wide engine diverged at {threads} threads"
+            );
+        }
     }
 
     #[test]

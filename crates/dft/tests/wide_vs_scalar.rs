@@ -21,7 +21,9 @@ struct GateRecipe {
     c: usize,
 }
 
-const COMB_KINDS: [GateKind; 10] = [
+const COMB_KINDS: [GateKind; 12] = [
+    GateKind::TieLo,
+    GateKind::TieHi,
     GateKind::Buf,
     GateKind::Not,
     GateKind::And2,
@@ -64,10 +66,11 @@ fn build_random(n_inputs: usize, n_ffs: usize, recipes: &[GateRecipe]) -> Netlis
         let kind = COMB_KINDS[r.kind];
         let pick = |sel: usize| pool[sel % pool.len()];
         let nets: Vec<NetId> = match kind.input_count() {
+            0 => vec![],
             1 => vec![pick(r.a)],
             2 => vec![pick(r.a), pick(r.b)],
             3 => vec![pick(r.a), pick(r.b), pick(r.c)],
-            _ => unreachable!("combinational kinds have 1..=3 inputs"),
+            _ => unreachable!("combinational kinds have 0..=3 inputs"),
         };
         pool.push(b.cell(kind, nets));
     }

@@ -41,9 +41,9 @@ pub use trace::{counterexample, Counterexample, CycleSample};
 
 use crate::context::{DesignView, MonitorKind, MonitorView};
 use crate::LintContext;
-use cone::LiveCone;
+use cone::sweep_cone;
 use scanguard_dft::{ErrorPattern, ScanChains};
-use scanguard_netlist::{Logic, LogicWord, Netlist};
+use scanguard_netlist::{CellId, Logic, LogicWord, Netlist};
 use scanguard_sim::WideSimulator;
 use std::fmt;
 
@@ -270,10 +270,11 @@ pub(crate) fn sweep(
     let singles_swept = w * l;
     let bursts_swept = lanes - singles_swept;
 
-    let cone = LiveCone::sweep(ctx, topo, &mv, chains);
+    let cone = sweep_cone(ctx, topo, &mv, chains);
     let mut driver = PassDriver::new(
         ctx.netlist(),
-        &cone,
+        cone.comb(),
+        cone.seq(),
         &mv,
         chains,
         view.gated_watermark,
@@ -586,18 +587,20 @@ pub(crate) struct PassDriver<'a> {
 }
 
 impl<'a> PassDriver<'a> {
-    /// Compiles the cone's cells over `nwords` words; the sequential
-    /// cells below `watermark` hold while the chains are frozen.
+    /// Compiles `comb` (in topological order) and `seq` (in cell order)
+    /// over `nwords` words; the sequential cells below `watermark` hold
+    /// while the chains are frozen.
     pub(crate) fn new(
         nl: &'a Netlist,
-        cone: &LiveCone,
+        comb: &[CellId],
+        seq: &[CellId],
         mv: &MonitorView,
         chains: &'a ScanChains,
         watermark: usize,
         nwords: usize,
     ) -> Self {
         PassDriver {
-            sim: WideSimulator::compile(nl, &cone.comb, &cone.seq, nwords, watermark),
+            sim: WideSimulator::compile(nl, comb, seq, nwords, watermark),
             mv: *mv,
             chains,
             l: mv.chain_len,

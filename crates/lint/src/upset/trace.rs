@@ -10,11 +10,11 @@
 //! scan-outs), giving the pattern + cycle + witness-path evidence the
 //! rules attach to diagnostics and the CLI exports as VCD.
 
-use super::{retained_state, LiveCone, PassDriver, Point};
+use super::{retained_state, PassDriver, Point};
 use crate::context::DesignView;
 use crate::LintContext;
 use scanguard_dft::ErrorPattern;
-use scanguard_netlist::Logic;
+use scanguard_netlist::{CellId, Logic};
 
 /// The watch-signal values at one settle point of the schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,8 +108,9 @@ pub fn counterexample(
         watch(format!("so{c}"), chains.chains[c].so);
     }
 
-    let cone = LiveCone::full(ctx, topo);
-    let mut driver = PassDriver::new(nl, &cone, &mv, chains, view.gated_watermark, 1);
+    // The witness walks every cell, so the replay compiles them all.
+    let seq: Vec<CellId> = nl.ff_cells().map(|(id, _)| id).collect();
+    let mut driver = PassDriver::new(nl, topo, &seq, &mv, chains, view.gated_watermark, 1);
     let mut samples: Vec<CycleSample> = Vec::new();
     let mut witness: Vec<String> = Vec::new();
     driver.run(&state, &faults, |point, cycle, sim| {

@@ -745,6 +745,21 @@ mod tests {
     }
 
     #[test]
+    fn coverage_patterns_beyond_the_cap_are_bad_requests() {
+        let d = daemon();
+        let (code, message) = error_of(&d.handle_line(
+            r#"{"id":17,"type":"coverage","depth":4,"width":4,"chains":4,"code":"crc16","patterns":1025}"#,
+        ));
+        assert_eq!(code, "bad-request", "{message}");
+        assert!(
+            message.contains("\"patterns\"") && message.contains("1024"),
+            "{message}"
+        );
+        let s = ok_result(&d.handle_line(r#"{"id":18,"type":"status"}"#));
+        assert_eq!(s.get("draining"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
     fn unknown_keys_are_bad_requests_naming_the_valid_ones() {
         let d = daemon();
         let (code, message) =

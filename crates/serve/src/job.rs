@@ -550,6 +550,11 @@ pub struct CoverageJob<'a> {
     hold_low: Vec<&'a str>,
 }
 
+/// The most patterns one `coverage` job may ask for. Fault simulation
+/// generates every pattern before it simulates any, about 12 KB each on
+/// the paper FIFO, so the bound caps what one request can allocate.
+pub const MAX_PATTERNS: usize = 1024;
+
 impl<'a> CoverageJob<'a> {
     const KEYS: &'static str = "source depth width chains code test_width patterns max_faults scope threads engine hold_low";
 
@@ -573,9 +578,16 @@ impl<'a> CoverageJob<'a> {
             Some(name) => FaultSimEngine::parse(name)
                 .ok_or_else(|| format!("unknown engine {name:?} (scalar | wide)"))?,
         };
+        let patterns = p.usize("patterns")?.unwrap_or(16);
+        if patterns > MAX_PATTERNS {
+            return Err(format!(
+                "{} must be at most {MAX_PATTERNS}, got {patterns}",
+                p.name("patterns")
+            ));
+        }
         Ok(CoverageJob {
             design,
-            patterns: p.usize("patterns")?.unwrap_or(16),
+            patterns,
             max_faults: p.usize("max_faults")?.unwrap_or(200),
             all_faults,
             threads: p.usize("threads")?,

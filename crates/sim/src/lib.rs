@@ -30,7 +30,8 @@
 //! * [`WideSimulator`] — a compiled word-block program: 64 machines per
 //!   word, a block of words per net, every compiled cell evaluated once
 //!   per settle. PPSFP fault simulation and the SG205/SG206 upset sweep
-//!   of `scanguard-lint` both run on it.
+//!   of `scanguard-lint` both run on it, and both settle only the cells
+//!   [`LiveCone::walk`] finds live while `se` is held at 1.
 //!
 //! The scalar engine stays as the independent oracle the wide one is
 //! held to: `wide_vs_scalar.rs` and `faultsim_engine.rs` (in
@@ -71,12 +72,14 @@
 // Bit-indexed loops are the clearer idiom for scan/test pattern handling.
 #![allow(clippy::needless_range_loop)]
 
+mod cone;
 mod domain;
 mod energy;
 mod simulator;
 mod tables;
 mod wide;
 
+pub use cone::LiveCone;
 pub use domain::{Domain, DomainId};
 pub use energy::EnergyWindow;
 pub use simulator::Simulator;

@@ -20,6 +20,14 @@
 //! takes a subset of the cells and a block width instead; the lint
 //! upset sweep hands it the live cone of its monitor pass.
 //!
+//! A program can carry a second op list over the same rows, the *cone
+//! program* ([`compile_cone`](WideSimulator::compile_cone)), which
+//! [`settle_cone`](WideSimulator::settle_cone) evaluates instead of every
+//! compiled cell. PPSFP fault simulation settles it on shift and flush
+//! cycles: while `se` is 1 only the scan path and the scan-outs matter,
+//! and [`LiveCone`] finds those cells. Nets outside the cone keep their
+//! last value, which a cone cell reads only through a masked pin.
+//!
 //! Per-lane semantics are exactly the scalar [`Simulator`]'s for the
 //! always-on, clock-enabled case: all cells powered, no clock gating,
 //! no RETAIN sequencing, no energy accounting. That is precisely the
@@ -30,6 +38,7 @@
 //! gated-domain watermark keep their state on clock edges.
 //!
 //! [`Simulator`]: crate::Simulator
+//! [`LiveCone`]: crate::LiveCone
 
 use scanguard_netlist::{CellId, GateKind, Logic, LogicWord, NetId, Netlist};
 use std::cell::Cell;
@@ -72,6 +81,10 @@ pub struct WideSimulator<'a> {
     vals: Vec<LogicWord>,
     /// Combinational cells, in topological order.
     comb: Vec<Op>,
+    /// A second op list over the same rows: the cone
+    /// [`settle_cone`](Self::settle_cone) evaluates, in topological
+    /// order.
+    cone: Vec<Op>,
     /// Flops that commit in place, each before every flop whose output
     /// it reads, so none reads a value already clocked.
     in_place: Vec<Flop>,
@@ -181,29 +194,14 @@ impl<'a> WideSimulator<'a> {
                 rows += 1;
             }
         }
-        let op = |id: CellId, out: usize| {
-            let cell = nl.cell(id);
-            let mut ins = [0; 3];
-            for (slot, n) in ins.iter_mut().zip(cell.inputs()) {
-                *slot = row[n.index()];
-            }
-            Op {
-                kind: cell.kind(),
-                out,
-                ins,
-            }
-        };
-        let comb_ops = comb
-            .iter()
-            .map(|&id| op(id, row[nl.cell(id).output().index()]))
-            .collect();
+        let comb_ops = comb.iter().map(|&id| Op::settle(nl, &row, id)).collect();
 
         let (order, staged) = commit_order(nl, comb, seq);
         let flop = |i: usize, capture_row: Option<usize>| {
             let id = seq[i];
             let q = row[nl.cell(id).output().index()];
             Flop {
-                capture: op(id, capture_row.unwrap_or(q)),
+                capture: Op::compile(nl, &row, id, capture_row.unwrap_or(q)),
                 q,
                 gated: id.index() < watermark,
             }
@@ -220,6 +218,7 @@ impl<'a> WideSimulator<'a> {
             vals: vec![LogicWord::ALL_X; (rows + staged.len()) * nwords],
             row,
             comb: comb_ops,
+            cone: Vec::new(),
             in_place,
             staged,
             frozen: false,
@@ -237,7 +236,7 @@ impl<'a> WideSimulator<'a> {
 
     /// Starts recording wide-settle statistics into `rec`'s metrics
     /// registry: `sim.wide.settles` (settle passes),
-    /// `sim.wide.cell_evals` (word-level gate evaluations, compiled
+    /// `sim.wide.cell_evals` (word-level gate evaluations, settled
     /// cells x words per settle — each one serves 64 lanes) and
     /// `sim.wide.cycles` (clock steps). All are commutative sums over
     /// deterministic runs, so snapshots stay thread-count-blind when
@@ -396,19 +395,54 @@ impl<'a> WideSimulator<'a> {
         self.vals[self.row[net.index()] + wd]
     }
 
+    /// Compiles the second op list, over the same rows: the
+    /// combinational cells [`settle_cone`](Self::settle_cone) evaluates,
+    /// in topological order. Replaces any earlier cone.
+    ///
+    /// A caller that settles only a cone must keep every net a cone
+    /// cell reads through an unmasked pin inside the cone (see
+    /// [`LiveCone`](crate::LiveCone)): the other nets keep whatever
+    /// value the last full [`settle`](Self::settle) left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell's output has no row in the program.
+    pub fn compile_cone(&mut self, cone: &[CellId]) {
+        self.cone = cone
+            .iter()
+            .map(|&id| {
+                let op = Op::settle(self.netlist, &self.row, id);
+                assert!(op.out != 0, "cone cell {id} is outside the program");
+                op
+            })
+            .collect();
+    }
+
     /// Settles the combinational logic for the current inputs and
     /// register words: every compiled cell is evaluated once, in
     /// topological order, over the whole word block.
     pub fn settle(&mut self) {
-        let nw = self.nwords;
-        for op in &self.comb {
-            eval_rows(&mut self.vals, nw, op);
-            apply_stuck(&mut self.vals, &self.stuck, op.out, nw);
-        }
-        if let Some(o) = &self.obs {
-            o.settles.inc();
-            o.cell_evals.add((self.comb.len() * nw) as u64);
-        }
+        run_ops(
+            &mut self.vals,
+            &self.stuck,
+            self.nwords,
+            &self.comb,
+            self.obs.as_ref(),
+        );
+    }
+
+    /// Settles only the cone compiled by
+    /// [`compile_cone`](Self::compile_cone): each of its cells is
+    /// evaluated once, in topological order, and every other net keeps
+    /// its value.
+    pub fn settle_cone(&mut self) {
+        run_ops(
+            &mut self.vals,
+            &self.stuck,
+            self.nwords,
+            &self.cone,
+            self.obs.as_ref(),
+        );
     }
 
     /// Commits one clock edge from the settled values, without settling
@@ -445,6 +479,41 @@ impl<'a> WideSimulator<'a> {
         self.settle();
         self.tick();
         self.settle();
+    }
+}
+
+impl Op {
+    /// Compiles cell `id` to write the row at `out`, reading each input
+    /// pin's row from `row`.
+    fn compile(nl: &Netlist, row: &[usize], id: CellId, out: usize) -> Op {
+        let cell = nl.cell(id);
+        let mut ins = [0; 3];
+        for (slot, n) in ins.iter_mut().zip(cell.inputs()) {
+            *slot = row[n.index()];
+        }
+        Op {
+            kind: cell.kind(),
+            out,
+            ins,
+        }
+    }
+
+    /// Compiles combinational cell `id` to write its output net's row.
+    fn settle(nl: &Netlist, row: &[usize], id: CellId) -> Op {
+        Op::compile(nl, row, id, row[nl.cell(id).output().index()])
+    }
+}
+
+/// Evaluates `ops` in order over a block of `nw` words, holding stuck
+/// lanes, and counts one settle.
+fn run_ops(vals: &mut [LogicWord], stuck: &[Stuck], nw: usize, ops: &[Op], obs: Option<&WideObs>) {
+    for op in ops {
+        eval_rows(vals, nw, op);
+        apply_stuck(vals, stuck, op.out, nw);
+    }
+    if let Some(o) = obs {
+        o.settles.inc();
+        o.cell_evals.add((ops.len() * nw) as u64);
     }
 }
 
