@@ -18,6 +18,13 @@ use scanguard_power::UpsetModel;
 /// upset latches and runs the code's recovery; without one, every upset
 /// event is residual (nothing repairs it).
 ///
+/// Each trial's cost scales with the latches its bounce can reach, not
+/// with the array: [`UpsetModel::upsets`] evaluates only the window of
+/// latches around the epicentre whose local bounce can exceed the
+/// lowest drawable margin (±60 latches at the 0.208 V full-bank bounce
+/// on 1,040 latches), and a bounce below that margin (the 0.029 V
+/// 20x slow ramp) draws nothing.
+///
 /// Returns `(upsets, residual)`: the events with at least one flip, and
 /// the events that end with corrupted state.
 #[must_use]

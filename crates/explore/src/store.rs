@@ -19,6 +19,8 @@
 //!   (`index.json`) with per-entry byte sizes and a logical
 //!   last-used clock; whenever a write pushes the store over
 //!   [`StoreLimits`], least-recently-used entries are deleted first.
+//!   A hit only bumps the clock in memory; the index is written on
+//!   every save and eviction, and when the store is dropped.
 //! * **Write-through layering.** The store never computes anything: a
 //!   caller's builder consults [`DiskStore::load`] before synthesizing
 //!   and [`DiskStore::save`]s afterwards, making the in-memory cache a
@@ -112,6 +114,17 @@ struct Counters {
     evictions: usize,
 }
 
+/// What the store lock guards: the index, the traffic counters, the
+/// running payload total and whether a hit has bumped the clock since
+/// the index was last written.
+#[derive(Debug)]
+struct State {
+    index: Index,
+    counters: Counters,
+    bytes: u64,
+    dirty: bool,
+}
+
 /// A persistent content-addressed build store rooted at one directory.
 ///
 /// Concurrency: one `DiskStore` is safe to share across threads (the
@@ -122,7 +135,7 @@ pub struct DiskStore {
     root: PathBuf,
     salt: String,
     limits: StoreLimits,
-    inner: Mutex<(Index, Counters)>,
+    inner: Mutex<State>,
 }
 
 impl DiskStore {
@@ -154,11 +167,17 @@ impl DiskStore {
             Some(index) => index,
             None => Self::rescan(root),
         };
+        let bytes = index.entries.values().map(|e| e.bytes).sum();
         Ok(DiskStore {
             root: root.to_owned(),
             salt: salt.to_owned(),
             limits,
-            inner: Mutex::new((index, Counters::default())),
+            inner: Mutex::new(State {
+                index,
+                counters: Counters::default(),
+                bytes,
+                dirty: false,
+            }),
         })
     }
 
@@ -203,7 +222,9 @@ impl DiskStore {
     /// Loads the payload stored for `key`, verifying the entry's
     /// recorded salt and key match before trusting it. Any IO or
     /// verification failure is a miss, never an error — the caller
-    /// rebuilds and overwrites.
+    /// rebuilds and overwrites. A hit bumps the entry's recency in
+    /// memory only; the next save or eviction, or dropping the store,
+    /// writes it to the index.
     ///
     /// # Panics
     ///
@@ -211,8 +232,9 @@ impl DiskStore {
     #[must_use]
     pub fn load(&self, key: &str) -> Option<String> {
         let addr = self.addr(key);
-        let mut inner = self.inner.lock().expect("store lock");
-        let (index, counters) = &mut *inner;
+        let mut state = self.inner.lock().expect("store lock");
+        let state = &mut *state;
+        let index = &mut state.index;
         let hit = index.entries.contains_key(&addr).then(|| {
             let doc = std::fs::read_to_string(self.entry_path(&addr)).ok()?;
             let value: serde::Value = serde_json::from_str(&doc).ok()?;
@@ -224,17 +246,17 @@ impl DiskStore {
         });
         match hit.flatten() {
             Some(doc) => {
-                counters.hits += 1;
+                state.counters.hits += 1;
                 index.clock += 1;
                 let clock = index.clock;
                 if let Some(e) = index.entries.get_mut(&addr) {
                     e.last_used = clock;
                 }
-                self.persist_index(index);
+                state.dirty = true;
                 Some(doc)
             }
             None => {
-                counters.misses += 1;
+                state.counters.misses += 1;
                 None
             }
         }
@@ -259,47 +281,51 @@ impl DiskStore {
             ("doc".to_owned(), serde::Value::Str(doc.to_owned())),
         ]);
         let rendered = serde_json::to_string(&entry).map_err(|e| format!("encoding entry: {e}"))?;
-        let mut inner = self.inner.lock().expect("store lock");
-        let (index, counters) = &mut *inner;
+        let mut state = self.inner.lock().expect("store lock");
         let path = self.entry_path(&addr);
         std::fs::write(&path, &rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        counters.writes += 1;
-        index.clock += 1;
-        let clock = index.clock;
-        index
-            .entries
-            .insert(addr, IndexEntry::new(rendered.len() as u64, clock));
-        counters.evictions += self.evict_over_limit(index);
-        self.persist_index(index);
+        state.counters.writes += 1;
+        state.index.clock += 1;
+        let entry = IndexEntry::new(rendered.len() as u64, state.index.clock);
+        state.bytes += entry.bytes;
+        if let Some(old) = state.index.entries.insert(addr, entry) {
+            state.bytes -= old.bytes;
+        }
+        let evicted = self.evict_over_limit(&mut state);
+        state.counters.evictions += evicted;
+        self.persist_index(&mut state);
         Ok(())
     }
 
     /// Evicts LRU entries until the limits hold; returns how many went.
-    fn evict_over_limit(&self, index: &mut Index) -> usize {
+    fn evict_over_limit(&self, state: &mut State) -> usize {
         let mut evicted = 0;
-        loop {
-            let total: u64 = index.entries.values().map(|e| e.bytes).sum();
-            if index.entries.len() <= self.limits.max_entries && total <= self.limits.max_bytes {
-                return evicted;
-            }
-            let Some(oldest) = index
+        while state.index.entries.len() > self.limits.max_entries
+            || state.bytes > self.limits.max_bytes
+        {
+            let Some(oldest) = state
+                .index
                 .entries
                 .iter()
                 .min_by_key(|(addr, e)| (e.last_used, (*addr).clone()))
                 .map(|(addr, _)| addr.clone())
             else {
-                return evicted;
+                break;
             };
-            index.entries.remove(&oldest);
+            if let Some(gone) = state.index.entries.remove(&oldest) {
+                state.bytes -= gone.bytes;
+            }
             let _ = std::fs::remove_file(self.entry_path(&oldest));
             evicted += 1;
         }
+        evicted
     }
 
     /// Persists the index atomically (write + rename), so a kill mid-
     /// write leaves the previous index intact rather than a torn file.
-    fn persist_index(&self, index: &Index) {
-        let Ok(doc) = serde_json::to_string(index) else {
+    fn persist_index(&self, state: &mut State) {
+        state.dirty = false;
+        let Ok(doc) = serde_json::to_string(&state.index) else {
             return;
         };
         let tmp = self.root.join("index.json.tmp");
@@ -315,15 +341,26 @@ impl DiskStore {
     /// Propagates a poisoned index lock.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let inner = self.inner.lock().expect("store lock");
-        let (index, counters) = &*inner;
+        let state = self.inner.lock().expect("store lock");
+        let counters = &state.counters;
         StoreStats {
             hits: counters.hits,
             misses: counters.misses,
             writes: counters.writes,
             evictions: counters.evictions,
-            entries: index.entries.len(),
-            bytes: index.entries.values().map(|e| e.bytes).sum(),
+            entries: state.index.entries.len(),
+            bytes: state.bytes,
+        }
+    }
+}
+
+impl Drop for DiskStore {
+    /// Writes the recency that hits bumped since the last save.
+    fn drop(&mut self) {
+        if let Ok(mut state) = self.inner.lock() {
+            if state.dirty {
+                self.persist_index(&mut state);
+            }
         }
     }
 }
@@ -424,6 +461,35 @@ mod tests {
         assert!(store.load("c").is_some());
         assert_eq!(store.stats().evictions, 1);
         assert_eq!(store.stats().entries, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn hit_recency_survives_drop_and_reopen() {
+        let root = tmp_root("recency");
+        let two = StoreLimits {
+            max_entries: 2,
+            max_bytes: u64::MAX,
+        };
+        {
+            let store = DiskStore::open_salted(&root, "s", StoreLimits::default()).unwrap();
+            store.save("a", "1").unwrap();
+            store.save("b", "2").unwrap();
+            let before = std::fs::read_to_string(root.join("index.json")).unwrap();
+            // Touch `a`: the hit must not rewrite the index...
+            assert!(store.load("a").is_some());
+            let after = std::fs::read_to_string(root.join("index.json")).unwrap();
+            assert_eq!(before, after, "a hit must not write index.json");
+        }
+        // ...but dropping the store persists it, so `b` is now the LRU.
+        let store = DiskStore::open_salted(&root, "s", two).unwrap();
+        store.save("c", "3").unwrap();
+        assert_eq!(store.load("b"), None, "b was least recently used");
+        assert!(
+            store.load("a").is_some(),
+            "the hit on a survived the reopen"
+        );
+        assert!(store.load("c").is_some());
         let _ = std::fs::remove_dir_all(&root);
     }
 

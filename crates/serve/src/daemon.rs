@@ -760,6 +760,21 @@ mod tests {
     }
 
     #[test]
+    fn explore_trials_beyond_the_cap_are_bad_requests() {
+        let d = daemon();
+        let (code, message) = error_of(&d.handle_line(
+            r#"{"id":19,"type":"explore","design":"fifo4x4","trials":1000000000000000}"#,
+        ));
+        assert_eq!(code, "bad-request", "{message}");
+        assert!(
+            message.contains("\"trials\"") && message.contains("100000"),
+            "{message}"
+        );
+        let s = ok_result(&d.handle_line(r#"{"id":20,"type":"status"}"#));
+        assert_eq!(s.get("draining"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
     fn unknown_keys_are_bad_requests_naming_the_valid_ones() {
         let d = daemon();
         let (code, message) =

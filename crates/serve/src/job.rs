@@ -728,6 +728,11 @@ pub struct ExploreJob<'a> {
     threads: Option<usize>,
 }
 
+/// The most Monte-Carlo wake trials one `explore` job may ask for per
+/// point. Cancellation is checked between points, not between trials,
+/// so the bound caps how long one point can hold a worker.
+pub const MAX_TRIALS: u64 = 100_000;
+
 impl<'a> ExploreJob<'a> {
     const KEYS: &'static str = "design source threads wmin wmax trials test_width prune";
 
@@ -738,11 +743,18 @@ impl<'a> ExploreJob<'a> {
                 p.text("design")?.unwrap_or("fifo32x32"),
             )?),
         };
+        let trials = p.u64("trials")?;
+        if let Some(trials) = trials.filter(|&t| t > MAX_TRIALS) {
+            return Err(format!(
+                "{} must be at most {MAX_TRIALS}, got {trials}",
+                p.name("trials")
+            ));
+        }
         Ok(ExploreJob {
             design,
             w_min: p.usize("wmin")?,
             w_max: p.usize("wmax")?,
-            trials: p.u64("trials")?,
+            trials,
             test_width: p.usize("test_width")?,
             prune: p.bool("prune")?.unwrap_or(true),
             threads: p.usize("threads")?,
