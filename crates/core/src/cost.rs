@@ -8,7 +8,7 @@
 //! enc/dec energy (nJ)`.
 //!
 //! [`analytic_cost`] is the closed-form alternative (parity-storage
-//! dominated); the `ablation_analytic` bench compares the two — a design
+//! dominated); the `ablation_analytic` paper test compares the two — a design
 //! decision DESIGN.md calls out (costs come from constructed gates, not
 //! formulas).
 

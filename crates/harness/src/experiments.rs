@@ -1,7 +1,7 @@
 //! Experiment runners — one per paper table/figure (see DESIGN.md's
-//! per-experiment index). The bench targets in `scanguard-bench` are thin
-//! wrappers around these functions so the same code paths are exercised
-//! by integration tests.
+//! per-experiment index). The paper-scale tests in `tests/paper.rs` and
+//! the CLI's `sweep`, `validate`, `fig10` and `rush` commands call
+//! these functions.
 
 use crate::{FifoTestbench, InjectionMode, ValidationStats};
 use rand::rngs::SmallRng;
@@ -136,21 +136,15 @@ pub fn table3_on(depth: usize, width: usize) -> Vec<Table3Row> {
 /// **Sec. IV validation**, experiment 1 and 2: single-error injection
 /// (all corrected) and burst injection (all detected, none corrected by
 /// plain Hamming) on the protected FIFO with the paper's 80-chain
-/// configuration. Returns `(single, burst, crc_single)` stats.
+/// configuration. With a recorder, the three runs' sleep/wake
+/// traversals share its controller lane and metric registry; the stats
+/// are unchanged by observation.
 ///
 /// # Panics
 ///
 /// Panics if the testbench cannot be synthesized (a configuration bug).
 #[must_use]
-pub fn validation(depth: usize, width: usize, chains: usize, sequences: u64) -> ValidationRuns {
-    validation_obs(depth, width, chains, sequences, None)
-}
-
-/// [`validation`] with observability: the three runs' sleep/wake
-/// traversals share the recorder's controller lane and metric registry.
-/// The stats are unchanged by observation.
-#[must_use]
-pub fn validation_obs(
+pub fn validation(
     depth: usize,
     width: usize,
     chains: usize,

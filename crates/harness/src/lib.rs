@@ -9,8 +9,8 @@
 //! * [`fig10_curve`] / [`fig10_family`] — the Fig. 10 Monte-Carlo
 //!   correction-ability sweeps;
 //! * [`table1`] / [`table2`] / [`table3`] and the ablation runners —
-//!   one function per paper table/figure, shared by the bench targets
-//!   and the integration tests;
+//!   one function per paper table/figure, asserted at paper scale by
+//!   `tests/paper.rs` and run by the CLI;
 //! * [`render_table`] — report formatting.
 //!
 //! # Examples
@@ -41,8 +41,8 @@ mod testbench;
 
 pub use experiments::{
     ablation_recovery, ablation_rush, ablation_secded, cost_sweep, paper_fifo, table1, table2,
-    table3, table3_on, validation, validation_obs, RecoveryRow, RushRow, SecdedRow, Table3Row,
-    ValidationRuns, PAPER_W_SWEEP, TABLE3_W,
+    table3, table3_on, validation, RecoveryRow, RushRow, SecdedRow, Table3Row, ValidationRuns,
+    PAPER_W_SWEEP, TABLE3_W,
 };
 pub use monte::{fig10_curve, fig10_family, Fig10Config, Fig10Point};
 pub use tables::{print_table, render_table};

@@ -1,5 +1,5 @@
 //! The paper's published numbers, transcribed from Tables I–III and
-//! Fig. 10, so every bench can print *paper vs. measured* side by side.
+//! Fig. 10, so the paper-scale tests can hold the measured rows to them.
 //!
 //! Absolute values are not expected to match — the paper measured an ST
 //! 120nm library through Synopsys/Cadence tooling, this reproduction

@@ -1,4 +1,4 @@
-//! Minimal fixed-width table rendering for the bench reports.
+//! Minimal fixed-width table rendering for the CLI and example reports.
 
 use std::fmt::Write as _;
 

@@ -7,7 +7,7 @@
 //! are chosen so the paper's baseline 32x32 FIFO lands near its reported
 //! 71,628 um^2 and so that shifting ~1040 scan flip-flops with random data
 //! at 100 MHz dissipates ~5 mW (paper Table I) — but every *trend* reported
-//! by the benches comes from constructed gate counts and simulated
+//! by the paper tests comes from constructed gate counts and simulated
 //! activity, not from these constants.
 
 use crate::GateKind;

@@ -5,7 +5,7 @@
 //!
 //! The paper's position (Sec. I) is that these techniques *reduce* the
 //! probability of retention upsets but cannot *correct* any state that is
-//! corrupted anyway; the `ablation_rush` bench quantifies exactly that
+//! corrupted anyway; the `ablation_rush` paper test quantifies exactly that
 //! trade-off using these models.
 
 use crate::{PowerNetwork, RushTransient};

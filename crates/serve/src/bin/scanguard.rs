@@ -23,7 +23,7 @@
 use scanguard_core::{break_even, cost_header, measure_cost};
 use scanguard_explore::{cache_salt, front_of, report, Objective, SpaceReport};
 use scanguard_harness::{
-    ablation_rush, cost_sweep, fig10_family, print_table, validation_obs, Fig10Config,
+    ablation_rush, cost_sweep, fig10_family, print_table, validation, Fig10Config,
 };
 use scanguard_lint::{LintContext, Severity};
 use scanguard_obs::{Level, Profile, Recorder, RecorderConfig};
@@ -564,7 +564,7 @@ fn cmd_validate(p: &Params, obs: &Obs) -> Result<(), String> {
     }
     obs.rec
         .info("running the Fig. 8 testbench (32x32 FIFO, 80 chains)...");
-    let runs = validation_obs(32, 32, 80, sequences, obs.active().map(|_| &obs.rec));
+    let runs = validation(32, 32, 80, sequences, obs.active().map(|_| &obs.rec));
     let show = |name: &str, s: scanguard_harness::ValidationStats| {
         println!(
             "  {name:<28} reported {}/{}  corrected {}/{}  comparator mismatches {}",
