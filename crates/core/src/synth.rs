@@ -149,9 +149,10 @@ pub struct Synthesizer {
     code: CodeChoice,
     test_width: Option<usize>,
     injector: bool,
-    clock_mhz: f64,
-    library: CellLibrary,
 }
+
+/// The paper's clock, MHz: latency and power figures are taken at it.
+const CLOCK_MHZ: f64 = 100.0;
 
 impl Synthesizer {
     /// Starts a flow over a conventional design netlist.
@@ -163,8 +164,6 @@ impl Synthesizer {
             code: CodeChoice::crc16(),
             test_width: None,
             injector: false,
-            clock_mhz: 100.0,
-            library: CellLibrary::st120nm(),
         }
     }
 
@@ -197,20 +196,6 @@ impl Synthesizer {
         self
     }
 
-    /// Sets the clock frequency in MHz (default 100, as in the paper).
-    #[must_use]
-    pub fn clock_mhz(mut self, mhz: f64) -> Self {
-        self.clock_mhz = mhz;
-        self
-    }
-
-    /// Overrides the cell library.
-    #[must_use]
-    pub fn library(mut self, library: CellLibrary) -> Self {
-        self.library = library;
-        self
-    }
-
     /// Runs the flow.
     ///
     /// # Errors
@@ -224,9 +209,8 @@ impl Synthesizer {
             code,
             test_width,
             injector,
-            clock_mhz,
-            library,
         } = self;
+        let library = CellLibrary::st120nm();
 
         // (1) Scan insertion with retention-scan flops.
         let mut scan = insert_scan(&mut netlist, &ScanConfig::retention_with_chains(chains))?;
@@ -293,7 +277,7 @@ impl Synthesizer {
             baseline_timing,
             protected,
             library,
-            clock_mhz,
+            clock_mhz: CLOCK_MHZ,
         })
     }
 
@@ -354,7 +338,6 @@ mod tests {
         let d = Synthesizer::new(regs(16))
             .chains(4)
             .code(CodeChoice::hamming7_4())
-            .clock_mhz(100.0)
             .build()
             .unwrap();
         assert!(d.area_overhead_pct() > 0.0);

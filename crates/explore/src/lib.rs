@@ -42,7 +42,7 @@ pub mod store;
 pub use cache::{BuildKey, BuildPanic, CacheStats, SynthCache};
 pub use pareto::{front_of, knee_point, Objective};
 pub use report::{PointResult, PrunedPoint, SpaceReport};
-pub use space::{DesignSpec, ExplorePoint, SpaceSpec, WakeSpec};
+pub use space::{DesignSpec, ExplorePoint, SpaceSpec};
 pub use store::{cache_salt, fnv64, DiskStore, StoreLimits, StoreStats};
 
 use scanguard_codes::SequenceCodec;
@@ -339,7 +339,7 @@ pub fn evaluate_point(
     let chain_len = metrics.row.chain_len;
 
     let network = PowerNetwork::default_120nm();
-    let event = point.wake.strategy().wake(&network);
+    let event = point.wake.wake(&network);
     // Decode runs after the rail settles: chain_len shift cycles plus
     // the clear/capture bookkeeping pair.
     let wake_cycles = event.wake_cycles(metrics.clock_mhz) + chain_len as u64 + 2;

@@ -140,56 +140,6 @@ impl DesignSpec {
     }
 }
 
-/// A wake strategy with its exploration parameters pinned, so points
-/// serialize to stable labels.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum WakeSpec {
-    /// All switches at once.
-    FullBank,
-    /// Ref \[7\] staggering in `groups` steps.
-    Staggered {
-        /// Activation steps (>= 2).
-        groups: usize,
-    },
-    /// Ref \[8\] slow gate-voltage ramp.
-    SlowRamp {
-        /// Ramp stretch over a full-bank wake (> 1).
-        ramp_factor: f64,
-    },
-}
-
-impl WakeSpec {
-    /// The three strategies the rush-current ablation compares.
-    #[must_use]
-    pub fn all() -> Vec<WakeSpec> {
-        vec![
-            WakeSpec::FullBank,
-            WakeSpec::Staggered { groups: 8 },
-            WakeSpec::SlowRamp { ramp_factor: 20.0 },
-        ]
-    }
-
-    /// Stable display label (also the serialized `wake` field).
-    #[must_use]
-    pub fn label(&self) -> String {
-        match *self {
-            WakeSpec::FullBank => "full-bank".into(),
-            WakeSpec::Staggered { groups } => format!("staggered-{groups}"),
-            WakeSpec::SlowRamp { ramp_factor } => format!("slow-ramp-{ramp_factor:.0}"),
-        }
-    }
-
-    /// The power-model strategy this spec names.
-    #[must_use]
-    pub fn strategy(&self) -> WakeStrategy {
-        match *self {
-            WakeSpec::FullBank => WakeStrategy::FullBank,
-            WakeSpec::Staggered { groups } => WakeStrategy::Staggered { groups },
-            WakeSpec::SlowRamp { ramp_factor } => WakeStrategy::SlowRamp { ramp_factor },
-        }
-    }
-}
-
 /// One candidate configuration: what a worker evaluates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorePoint {
@@ -203,7 +153,7 @@ pub struct ExplorePoint {
     /// Monitoring code.
     pub code: CodeChoice,
     /// Wake-up strategy.
-    pub wake: WakeSpec,
+    pub wake: WakeStrategy,
 }
 
 impl ExplorePoint {
@@ -230,7 +180,7 @@ pub struct SpaceSpec {
     /// Candidate codes (infeasible `(code, W)` pairs are dropped).
     pub codes: Vec<CodeChoice>,
     /// Candidate wake strategies.
-    pub wakes: Vec<WakeSpec>,
+    pub wakes: Vec<WakeStrategy>,
     /// Smallest chain count considered.
     pub w_min: usize,
     /// Largest chain count considered.
@@ -267,7 +217,11 @@ impl SpaceSpec {
                 CodeChoice::ExtendedHamming { m: 3 },
                 CodeChoice::Parity { group_width: 8 },
             ],
-            wakes: WakeSpec::all(),
+            wakes: vec![
+                WakeStrategy::FullBank,
+                WakeStrategy::Staggered { groups: 8 },
+                WakeStrategy::SlowRamp { ramp_factor: 20.0 },
+            ],
             w_min: 4,
             w_max: 128,
             trials: 400,

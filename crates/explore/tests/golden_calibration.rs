@@ -10,7 +10,8 @@
 //!   trade-off direction).
 
 use scanguard_core::CodeChoice;
-use scanguard_explore::{explore, DesignSpec, PointResult, SpaceReport, SpaceSpec, WakeSpec};
+use scanguard_explore::{explore, DesignSpec, PointResult, SpaceReport, SpaceSpec};
+use scanguard_power::WakeStrategy;
 
 /// The chain counts of the paper's Tables I/II and Fig. 9.
 const PAPER_W: [usize; 5] = [4, 8, 16, 40, 80];
@@ -25,7 +26,7 @@ fn paper_fifo_report() -> &'static SpaceReport {
         // Restrict to the axes this regression pins, to keep the
         // debug-mode build count reasonable.
         spec.codes = vec![CodeChoice::Crc16, CodeChoice::Hamming { m: 3 }];
-        spec.wakes = vec![WakeSpec::FullBank];
+        spec.wakes = vec![WakeStrategy::FullBank];
         spec.w_max = 80;
         spec.trials = 20;
         explore(&spec, 8).unwrap()

@@ -150,7 +150,7 @@ fn sampled() -> Vec<(String, u64, u64)> {
             } else {
                 None
             };
-            let bounce = point.wake.strategy().wake(&network).peak_bounce_v;
+            let bounce = point.wake.wake(&network).peak_bounce_v;
             let key = point.key();
             let (upsets, residual) = sample_wake_upsets(
                 point.chains,

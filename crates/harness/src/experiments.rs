@@ -1,14 +1,17 @@
 //! Experiment runners — one per paper table/figure (see DESIGN.md's
 //! per-experiment index). The paper-scale tests in `tests/paper.rs` and
 //! the CLI's `sweep`, `validate`, `fig10` and `rush` commands call
-//! these functions.
+//! these functions. Every cost figure comes from
+//! [`scanguard_explore::build_metrics`], so a configuration's row is
+//! the same here, in `scanguard cost` and in an explore report.
 
 use crate::{FifoTestbench, InjectionMode, ValidationStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scanguard_codes::{BlockCode, Hamming, SequenceCodec};
-use scanguard_core::{measure_cost, sample_wake_upsets, CodeChoice, CostRow, Synthesizer};
+use scanguard_core::{sample_wake_upsets, CodeChoice, CostRow, Synthesizer};
 use scanguard_designs::Fifo;
+use scanguard_explore::{build_metrics, BuildMetrics, DesignSpec};
 use scanguard_power::{PowerNetwork, WakeStrategy};
 
 /// The chain-count sweep of the paper's Tables I and II.
@@ -18,10 +21,22 @@ pub const PAPER_W_SWEEP: [usize; 5] = [4, 8, 16, 40, 80];
 /// (multiples of each code's data width).
 pub const TABLE3_W: [usize; 4] = [56, 55, 52, 57];
 
-/// Builds the paper's case-study circuit: the 32x32 FIFO.
-#[must_use]
-pub fn paper_fifo() -> Fifo {
-    Fifo::generate(32, 32)
+/// Explore's build metrics of the `depth x width` FIFO at one
+/// configuration.
+///
+/// # Panics
+///
+/// Panics with the build gate's reason when the configuration is
+/// rejected (a configuration bug).
+fn fifo_metrics(
+    depth: usize,
+    width: usize,
+    chains: usize,
+    code: CodeChoice,
+    test_width: Option<usize>,
+) -> BuildMetrics {
+    build_metrics(&DesignSpec::Fifo { depth, width }, chains, code, test_width)
+        .unwrap_or_else(|r| panic!("{}", r.detail()))
 }
 
 /// Measures cost rows for `code` across a chain-count sweep on a
@@ -37,17 +52,7 @@ pub fn cost_sweep(depth: usize, width: usize, code: CodeChoice, sweep: &[usize])
     std::thread::scope(|s| {
         let handles: Vec<_> = sweep
             .iter()
-            .map(|&w| {
-                s.spawn(move || {
-                    let fifo = Fifo::generate(depth, width);
-                    let design = Synthesizer::new(fifo.netlist)
-                        .chains(w)
-                        .code(code)
-                        .build()
-                        .unwrap_or_else(|e| panic!("W={w}: {e}"));
-                    measure_cost(&design, 0x00C0_FFEE ^ w as u64)
-                })
-            })
+            .map(|&w| s.spawn(move || fifo_metrics(depth, width, w, code, None).row))
             .collect();
         handles
             .into_iter()
@@ -73,18 +78,10 @@ pub fn table2() -> Vec<CostRow> {
 pub struct Table3Row {
     /// Code name.
     pub code: String,
-    /// Chain count `W`.
-    pub chains: usize,
-    /// Baseline (scanned FIFO) area, um^2.
-    pub fifo_area_um2: f64,
-    /// Protected total area, um^2.
-    pub total_area_um2: f64,
     /// Overhead, %.
     pub overhead_pct: f64,
     /// Encoding power, mW.
     pub enc_power_mw: f64,
-    /// Decoding power, mW.
-    pub dec_power_mw: f64,
     /// Maximum correction capability, % of codeword bits.
     pub capability_pct: f64,
 }
@@ -93,34 +90,17 @@ pub struct Table3Row {
 /// its paper-matched chain count.
 #[must_use]
 pub fn table3() -> Vec<Table3Row> {
-    table3_on(32, 32)
-}
-
-/// Table III on a configurable FIFO (smaller for smoke tests).
-#[must_use]
-pub fn table3_on(depth: usize, width: usize) -> Vec<Table3Row> {
-    let configs: Vec<(u32, usize)> = (3..=6).zip(TABLE3_W).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = configs
-            .into_iter()
+        let handles: Vec<_> = (3..=6)
+            .zip(TABLE3_W)
             .map(|(m, w)| {
                 s.spawn(move || {
-                    let fifo = Fifo::generate(depth, width);
-                    let design = Synthesizer::new(fifo.netlist)
-                        .chains(w)
-                        .code(CodeChoice::Hamming { m })
-                        .build()
-                        .unwrap_or_else(|e| panic!("m={m} W={w}: {e}"));
-                    let row = measure_cost(&design, u64::from(m));
+                    let row = fifo_metrics(32, 32, w, CodeChoice::Hamming { m }, None).row;
                     let code = Hamming::new(m).expect("family order");
                     Table3Row {
                         code: BlockCode::name(&code),
-                        chains: w,
-                        fifo_area_um2: design.baseline.total_area_um2,
-                        total_area_um2: design.protected.total_area_um2,
                         overhead_pct: row.overhead_pct,
                         enc_power_mw: row.enc_power_mw,
-                        dec_power_mw: row.dec_power_mw,
                         capability_pct: code.correction_capability_pct(),
                     }
                 })
@@ -135,28 +115,24 @@ pub fn table3_on(depth: usize, width: usize) -> Vec<Table3Row> {
 
 /// **Sec. IV validation**, experiment 1 and 2: single-error injection
 /// (all corrected) and burst injection (all detected, none corrected by
-/// plain Hamming) on the protected FIFO with the paper's 80-chain
-/// configuration. With a recorder, the three runs' sleep/wake
-/// traversals share its controller lane and metric registry; the stats
-/// are unchanged by observation.
+/// plain Hamming) on the paper's protected 32x32 FIFO with 80 chains.
+/// With a recorder, the three runs' sleep/wake traversals share its
+/// controller lane and metric registry; the stats are unchanged by
+/// observation.
 ///
 /// # Panics
 ///
 /// Panics if the testbench cannot be synthesized (a configuration bug).
 #[must_use]
 pub fn validation(
-    depth: usize,
-    width: usize,
-    chains: usize,
     sequences: u64,
     obs: Option<&std::sync::Arc<scanguard_obs::Recorder>>,
 ) -> ValidationRuns {
-    let hamming =
-        FifoTestbench::new(depth, width, chains, CodeChoice::hamming7_4()).expect("hamming tb");
-    let single = hamming.run_obs(sequences, InjectionMode::Single, 0x51, obs);
-    let burst = hamming.run_obs(sequences, InjectionMode::Burst { max_span: 4 }, 0xB5, obs);
-    let crc = FifoTestbench::new(depth, width, chains, CodeChoice::crc16()).expect("crc tb");
-    let crc_burst = crc.run_obs(sequences, InjectionMode::Burst { max_span: 4 }, 0xC5, obs);
+    let hamming = FifoTestbench::new(32, 32, 80, CodeChoice::hamming7_4()).expect("hamming tb");
+    let single = hamming.run(sequences, InjectionMode::Single, 0x51, obs);
+    let burst = hamming.run(sequences, InjectionMode::Burst { max_span: 4 }, 0xB5, obs);
+    let crc = FifoTestbench::new(32, 32, 80, CodeChoice::crc16()).expect("crc tb");
+    let crc_burst = crc.run(sequences, InjectionMode::Burst { max_span: 4 }, 0xC5, obs);
     ValidationRuns {
         hamming_single: single,
         hamming_burst: burst,
@@ -174,6 +150,10 @@ pub struct ValidationRuns {
     /// CRC-16, clustered multi-error per sequence (detection only).
     pub crc_burst: ValidationStats,
 }
+
+/// The one seed of the E7 wake-event draws (`tests/fixtures/rush200.txt`
+/// pins its stream).
+const RUSH_SEED: u64 = 0xC11;
 
 /// One row of the rush-current ablation (E7): what each wake strategy
 /// and the proposed monitoring buy, measured over Monte-Carlo wake
@@ -195,8 +175,8 @@ pub struct RushRow {
 }
 
 /// **E7 ablation**: rush-current reduction (refs \[7,8\]) vs. the proposed
-/// monitoring, on a `chains x chain_len` retention array (the paper's
-/// FIFO uses 80 x 13).
+/// monitoring over `trials` wake events on the paper FIFO's 80 x 13
+/// retention array, drawn from seed `0xC11`.
 ///
 /// Physical upsets cluster along the latch array (chain-major layout);
 /// the monitor's codewords run *across* chains at equal depth, so the
@@ -204,7 +184,8 @@ pub struct RushRow {
 /// lands every flip in a different codeword and is fully corrected,
 /// while a wide burst hits same-depth pairs and defeats plain Hamming.
 #[must_use]
-pub fn ablation_rush(chains: usize, chain_len: usize, trials: u64, seed: u64) -> Vec<RushRow> {
+pub fn ablation_rush(trials: u64) -> Vec<RushRow> {
+    let (chains, chain_len) = (80, 13);
     let network = PowerNetwork::default_120nm();
     let code = Hamming::h7_4();
     let codec = SequenceCodec::new(Box::new(code));
@@ -246,7 +227,7 @@ pub fn ablation_rush(chains: usize, chain_len: usize, trials: u64, seed: u64) ->
                 event.peak_bounce_v,
                 monitored.then_some(&codec),
                 trials,
-                seed,
+                RUSH_SEED,
             );
             let decode_cycles = if monitored { chain_len as u64 + 2 } else { 0 };
             RushRow {
@@ -293,19 +274,23 @@ pub fn ablation_recovery(
     chains: usize,
     test_width: usize,
 ) -> Vec<RecoveryRow> {
-    use scanguard_core::{break_even, checkpoint, measure_cost, restore, Synthesizer};
+    use scanguard_core::{checkpoint, restore};
+    // The recovery run needs the design itself; the cost and break-even
+    // columns are the configuration's build metrics.
+    let build = |code: CodeChoice| {
+        let design = Synthesizer::new(Fifo::generate(depth, width).netlist)
+            .chains(chains)
+            .code(code)
+            .test_width(test_width)
+            .build()
+            .unwrap_or_else(|e| panic!("{}: {e}", code.name()));
+        let metrics = fifo_metrics(depth, width, chains, code, Some(test_width));
+        (design, metrics)
+    };
     let mut rows = Vec::new();
 
     // Hardware correction.
-    let fifo = Fifo::generate(depth, width);
-    let hw = Synthesizer::new(fifo.netlist)
-        .chains(chains)
-        .code(CodeChoice::hamming7_4())
-        .test_width(test_width)
-        .build()
-        .expect("hamming design");
-    let hw_cost = measure_cost(&hw, 0xE9);
-    let hw_be = break_even(&hw, &hw_cost);
+    let (hw, hw_cost) = build(CodeChoice::hamming7_4());
     let mut rt = hw.runtime();
     rt.load_random_state(0xE9);
     let rep = rt.sleep_wake(|sim, ch| {
@@ -314,23 +299,15 @@ pub fn ablation_recovery(
     });
     rows.push(RecoveryRow {
         scheme: "Hamming(7,4) hardware correction".into(),
-        monitor_overhead_pct: hw.area_overhead_pct(),
+        monitor_overhead_pct: hw_cost.row.overhead_pct,
         recovery_cycles: rep.decode.cycles,
         recovery_energy_nj: rep.decode.energy_nj(),
         recovered: rep.state_intact(),
-        break_even_us: hw_be.min_sleep_us,
+        break_even_us: hw_cost.break_even.min_sleep_us,
     });
 
     // Software recovery.
-    let fifo = Fifo::generate(depth, width);
-    let sw = Synthesizer::new(fifo.netlist)
-        .chains(chains)
-        .code(CodeChoice::crc16())
-        .test_width(test_width)
-        .build()
-        .expect("crc design");
-    let sw_cost = measure_cost(&sw, 0xEA);
-    let sw_be = break_even(&sw, &sw_cost);
+    let (sw, sw_cost) = build(CodeChoice::crc16());
     let mut rt = sw.runtime();
     rt.load_random_state(0xEA);
     let cp = checkpoint(&mut rt);
@@ -343,11 +320,11 @@ pub fn ablation_recovery(
     let recovered = detected && sw.chains.snapshot(rt.sim()) == cp.state();
     rows.push(RecoveryRow {
         scheme: "CRC-16 + software reload".into(),
-        monitor_overhead_pct: sw.area_overhead_pct(),
+        monitor_overhead_pct: sw_cost.row.overhead_pct,
         recovery_cycles: rep.decode.cycles + reload.cycles,
         recovery_energy_nj: rep.decode.energy_nj() + reload.energy.energy_nj(),
         recovered,
-        break_even_us: sw_be.min_sleep_us,
+        break_even_us: sw_cost.break_even.min_sleep_us,
     });
     rows
 }
@@ -420,25 +397,8 @@ mod tests {
     }
 
     #[test]
-    fn table3_small_has_monotone_overhead_and_capability() {
-        let rows = table3_on(8, 8);
-        assert_eq!(rows.len(), 4);
-        for w in rows.windows(2) {
-            assert!(
-                w[0].overhead_pct > w[1].overhead_pct,
-                "{} {:.1}% !> {} {:.1}%",
-                w[0].code,
-                w[0].overhead_pct,
-                w[1].code,
-                w[1].overhead_pct
-            );
-            assert!(w[0].capability_pct > w[1].capability_pct);
-        }
-    }
-
-    #[test]
     fn rush_ablation_tells_the_papers_story() {
-        let rows = ablation_rush(80, 13, 60, 5);
+        let rows = ablation_rush(60);
         let by = |n: &str| {
             rows.iter()
                 .find(|r| r.strategy.starts_with(n))
@@ -473,7 +433,7 @@ mod tests {
             0.028_681_020_695_970_47,
         );
         assert_eq!(
-            ablation_rush(80, 13, 200, 0xC11),
+            ablation_rush(200),
             [
                 row("full-bank", full, 1, 1.0, 1.0),
                 row("staggered x2 [7]", x2, 2, 0.23, 0.23),

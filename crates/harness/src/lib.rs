@@ -21,7 +21,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let tb = FifoTestbench::new(4, 4, 4, CodeChoice::hamming7_4())?;
-//! let stats = tb.run(3, InjectionMode::Single, 1);
+//! let stats = tb.run(3, InjectionMode::Single, 1, None);
 //! assert_eq!(stats.sequences_recovered, 3); // all singles corrected
 //! # Ok(())
 //! # }
@@ -40,9 +40,9 @@ mod tables;
 mod testbench;
 
 pub use experiments::{
-    ablation_recovery, ablation_rush, ablation_secded, cost_sweep, paper_fifo, table1, table2,
-    table3, table3_on, validation, RecoveryRow, RushRow, SecdedRow, Table3Row, ValidationRuns,
-    PAPER_W_SWEEP, TABLE3_W,
+    ablation_recovery, ablation_rush, ablation_secded, cost_sweep, table1, table2, table3,
+    validation, RecoveryRow, RushRow, SecdedRow, Table3Row, ValidationRuns, PAPER_W_SWEEP,
+    TABLE3_W,
 };
 pub use monte::{fig10_curve, fig10_family, Fig10Config, Fig10Point};
 pub use tables::{print_table, render_table};

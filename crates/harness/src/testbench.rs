@@ -92,18 +92,12 @@ impl FifoTestbench {
     /// Matches the paper's Sec. IV setup (which ran 100 million FPGA
     /// sequences); software runs use fewer since single-error correction
     /// and multi-error detection are structural properties, not
-    /// statistical tails.
+    /// statistical tails. With a recorder, each sequence's sleep/wake
+    /// traversal lands on its controller lane (the Fig. 3(b) phase
+    /// timeline) and the simulator's settle metrics accumulate; the
+    /// stats are unchanged by observation.
     #[must_use]
-    pub fn run(&self, sequences: u64, mode: InjectionMode, seed: u64) -> ValidationStats {
-        self.run_obs(sequences, mode, seed, None)
-    }
-
-    /// [`run`](Self::run) with observability: each sequence's sleep/wake
-    /// traversal lands on the recorder's controller lane (the Fig. 3(b)
-    /// phase timeline) and the simulator's settle metrics accumulate.
-    /// The stats are unchanged by observation.
-    #[must_use]
-    pub fn run_obs(
+    pub fn run(
         &self,
         sequences: u64,
         mode: InjectionMode,
@@ -253,7 +247,7 @@ mod tests {
     #[test]
     fn clean_sequences_match_golden_model() {
         let tb = FifoTestbench::new(4, 4, 4, CodeChoice::hamming7_4()).unwrap();
-        let stats = tb.run(5, InjectionMode::None, 42);
+        let stats = tb.run(5, InjectionMode::None, 42, None);
         assert_eq!(stats.sequences, 5);
         assert_eq!(stats.injected_bits, 0);
         assert_eq!(stats.errors_reported, 0);
@@ -264,7 +258,7 @@ mod tests {
     #[test]
     fn single_errors_are_corrected_with_no_mismatch() {
         let tb = FifoTestbench::new(4, 4, 4, CodeChoice::hamming7_4()).unwrap();
-        let stats = tb.run(8, InjectionMode::Single, 7);
+        let stats = tb.run(8, InjectionMode::Single, 7, None);
         assert_eq!(stats.errors_reported, 8, "every injection reported");
         assert_eq!(stats.sequences_recovered, 8, "every injection corrected");
         assert_eq!(stats.comparator_mismatches, 0, "FIFO_A == FIFO_B");
@@ -275,7 +269,7 @@ mod tests {
         // Distance-3 codes detect every double error, so span-2 bursts
         // are always reported — and never healed.
         let tb = FifoTestbench::new(4, 4, 4, CodeChoice::hamming7_4()).unwrap();
-        let stats = tb.run(8, InjectionMode::Burst { max_span: 2 }, 11);
+        let stats = tb.run(8, InjectionMode::Burst { max_span: 2 }, 11, None);
         assert_eq!(stats.errors_reported, 8, "every double burst detected");
         assert_eq!(
             stats.sequences_recovered, 0,
@@ -290,7 +284,7 @@ mod tests {
         // the paper's monitor pairs Hamming with CRC. CRC-16 catches
         // every such burst (asserted in the monte module).
         let tb = FifoTestbench::new(4, 4, 4, CodeChoice::hamming7_4()).unwrap();
-        let stats = tb.run(12, InjectionMode::Burst { max_span: 4 }, 11);
+        let stats = tb.run(12, InjectionMode::Burst { max_span: 4 }, 11, None);
         assert!(stats.errors_reported >= 6, "{stats:?}");
         assert!(
             stats.sequences_recovered < 3,
@@ -301,7 +295,7 @@ mod tests {
     #[test]
     fn crc_detects_but_comparator_sees_corruption() {
         let tb = FifoTestbench::new(4, 4, 4, CodeChoice::crc16()).unwrap();
-        let stats = tb.run(6, InjectionMode::Single, 3);
+        let stats = tb.run(6, InjectionMode::Single, 3, None);
         assert_eq!(stats.errors_reported, 6);
         assert_eq!(stats.sequences_recovered, 0, "CRC cannot correct");
     }

@@ -53,6 +53,17 @@ impl WakeEvent {
 }
 
 impl WakeStrategy {
+    /// Stable display label: `full-bank`, `staggered-<groups>`,
+    /// `slow-ramp-<factor>` (also explore's serialized `wake` field).
+    #[must_use]
+    pub fn label(&self) -> String {
+        match *self {
+            WakeStrategy::FullBank => "full-bank".into(),
+            WakeStrategy::Staggered { groups } => format!("staggered-{groups}"),
+            WakeStrategy::SlowRamp { ramp_factor } => format!("slow-ramp-{ramp_factor:.0}"),
+        }
+    }
+
     /// Simulates a wake-up of a fully discharged domain over `network`.
     ///
     /// # Panics

@@ -20,7 +20,7 @@
 //! the daemon runs them; this file adds the human-readable output, the
 //! file artifacts and the exit status.
 
-use scanguard_core::{break_even, cost_header, measure_cost};
+use scanguard_core::cost_header;
 use scanguard_explore::{cache_salt, front_of, report, Objective, SpaceReport};
 use scanguard_harness::{
     ablation_rush, cost_sweep, fig10_family, print_table, validation, Fig10Config,
@@ -223,7 +223,8 @@ const USAGE: &str = "scanguard — scan-based state retention protection (Yang e
 USAGE: scanguard <command> [--key value]...
 
 COMMANDS:
-  cost      measure one configuration's cost row and break-even point
+  cost      measure one configuration's cost row and break-even point,
+            the numbers sweep and explore report for it
               --depth N --width N --chains N --code CODE [--test-width N]
   sweep     cost table across chain counts
               --depth N --width N --code CODE --chains N,N,...
@@ -415,19 +416,18 @@ fn write_json(path: Option<&str>, value: &serde::Value) -> Result<(), String> {
 }
 
 fn cmd_cost(p: &Params) -> Result<(), String> {
-    let design = SynthSpec::export(p)?.build()?;
-    let row = measure_cost(&design, 0xC11);
+    let (design, metrics) = SynthSpec::export(p)?.metrics()?;
+    let row = &metrics.row;
     print_table(
         &format!(
-            "cost of {} on a {} ({} flops)",
-            design.monitor.code.name(),
-            design.netlist.name(),
-            design.chains.ff_count()
+            "cost of {} on a {design} ({} flops)",
+            row.code,
+            row.chains * row.chain_len
         ),
         &cost_header(),
         &[row.to_string()],
     );
-    let be = break_even(&design, &row);
+    let be = &metrics.break_even;
     println!(
         "leakage: {:.1} nW active -> {:.1} nW asleep; protection energy {:.2} nJ;",
         be.active_leakage_nw, be.sleep_leakage_nw, be.protection_energy_nj
@@ -564,7 +564,7 @@ fn cmd_validate(p: &Params, obs: &Obs) -> Result<(), String> {
     }
     obs.rec
         .info("running the Fig. 8 testbench (32x32 FIFO, 80 chains)...");
-    let runs = validation(32, 32, 80, sequences, obs.active().map(|_| &obs.rec));
+    let runs = validation(sequences, obs.active().map(|_| &obs.rec));
     let show = |name: &str, s: scanguard_harness::ValidationStats| {
         println!(
             "  {name:<28} reported {}/{}  corrected {}/{}  comparator mismatches {}",
@@ -601,7 +601,7 @@ fn cmd_fig10(p: &Params) -> Result<(), String> {
 
 fn cmd_rush(p: &Params) -> Result<(), String> {
     let trials = p.u64("trials")?.unwrap_or(1000);
-    for r in ablation_rush(80, 13, trials, 0xC11) {
+    for r in ablation_rush(trials) {
         println!(
             "  {:<32} bounce {:.3} V  wake {:>3} cyc  P(upset) {:.3}  P(corrupt) {:.3}",
             r.strategy, r.peak_bounce_v, r.wake_cycles, r.upset_prob, r.residual_prob

@@ -19,8 +19,8 @@ use scanguard_dft::{
     FaultSimEngine, ScanAccess,
 };
 use scanguard_explore::{
-    explore_env, fnv64, front_of, knee_point, DesignSpec, DiskStore, ExploreEnv, ExploreError,
-    Objective, SpaceReport, SpaceSpec,
+    build_metrics, explore_env, fnv64, front_of, knee_point, BuildMetrics, DesignSpec, DiskStore,
+    ExploreEnv, ExploreError, Objective, SpaceReport, SpaceSpec,
 };
 use scanguard_lint::{lint_netlist, LintContext, LintReport, RuleSet, Severity, UpsetReport};
 use scanguard_netlist::{CellLibrary, Netlist};
@@ -348,6 +348,16 @@ impl<'a> SynthSpec<'a> {
             synth = synth.test_width(tw);
         }
         synth.build().map_err(|e| e.to_string())
+    }
+
+    /// The design's label and its build metrics: explore's lint-gated
+    /// build and cost row for this configuration, so `scanguard cost`
+    /// reports what an explore point at the same configuration does.
+    pub fn metrics(&self) -> Result<(String, BuildMetrics), String> {
+        let design = self.base.spec()?;
+        let metrics = build_metrics(&design, self.chains, self.code, self.test_width)
+            .map_err(|r| r.detail().to_owned())?;
+        Ok((design.label(), metrics))
     }
 }
 

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\nexperiment 1: one random retention upset per sequence");
-    let single = tb.run(sequences, InjectionMode::Single, 0x51);
+    let single = tb.run(sequences, InjectionMode::Single, 0x51, None);
     println!(
         "  {} sequences: {} reported, {} corrected, {} comparator mismatches",
         single.sequences,
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\nexperiment 2: clustered burst upsets (2..=4 adjacent chains)");
-    let burst = tb.run(sequences, InjectionMode::Burst { max_span: 4 }, 0xB2);
+    let burst = tb.run(sequences, InjectionMode::Burst { max_span: 4 }, 0xB2, None);
     println!(
         "  {} sequences: {} reported, {} corrected, {} comparator mismatches",
         burst.sequences,

@@ -39,9 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Then the outcome table over Monte-Carlo wake events on the
-    // paper's 80x13 retention array.
+    // paper's 80x13 retention array: the E7 rows `scanguard rush
+    // --trials N` prints.
     println!("\n{trials} wake events on an 80x13 retention array:");
-    let rows = ablation_rush(80, 13, trials, 0x57_0B);
+    let rows = ablation_rush(trials);
     let rendered: Vec<String> = rows
         .iter()
         .map(|r| {

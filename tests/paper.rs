@@ -269,7 +269,7 @@ fn fig10_correction() {
 /// defeat plain Hamming; CRC-16 detects every burst and corrects none.
 #[test]
 fn validation_sec4() {
-    let runs = harness::validation(32, 32, 80, 40, None);
+    let runs = harness::validation(40, None);
     let s = &runs.hamming_single;
     assert!(
         s.errors_reported == s.sequences && s.sequences_recovered == s.sequences,
@@ -296,10 +296,11 @@ fn validation_sec4() {
 }
 
 /// E7: rush-current reduction (paper refs [7], [8]) vs the proposed
-/// monitoring over 2,000 wake events on the 80x13 retention array.
+/// monitoring over 2,000 wake events on the 80x13 retention array, the
+/// rows `scanguard rush --trials 2000` prints.
 #[test]
 fn ablation_rush() {
-    let rows = harness::ablation_rush(80, 13, 2_000, 0xE7);
+    let rows = harness::ablation_rush(2_000);
     assert_eq!(rows.len(), 6, "six wake strategies");
     let by = |n: &str| {
         rows.iter()
