@@ -30,9 +30,6 @@ pub enum CoreError {
         /// What the design lacks.
         reason: &'static str,
     },
-    /// The linted build gate found Error-severity rule violations
-    /// (see [`Synthesizer::build_linted`](crate::Synthesizer::build_linted)).
-    Lint(scanguard_lint::LintReport),
 }
 
 impl fmt::Display for CoreError {
@@ -51,18 +48,6 @@ impl fmt::Display for CoreError {
             CoreError::SabotageNotApplicable { sabotage, reason } => {
                 write!(f, "seed_bad {sabotage} does not apply: {reason}")
             }
-            CoreError::Lint(report) => {
-                write!(f, "lint gate failed: {}", report.summary())?;
-                for d in report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == scanguard_lint::Severity::Error)
-                    .take(3)
-                {
-                    write!(f, "; {d}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -73,9 +58,7 @@ impl std::error::Error for CoreError {
             CoreError::Dft(e) => Some(e),
             CoreError::Netlist(e) => Some(e),
             CoreError::Code(e) => Some(e),
-            CoreError::ChainsNotGroupable { .. }
-            | CoreError::SabotageNotApplicable { .. }
-            | CoreError::Lint(_) => None,
+            CoreError::ChainsNotGroupable { .. } | CoreError::SabotageNotApplicable { .. } => None,
         }
     }
 }

@@ -280,26 +280,6 @@ impl Synthesizer {
             clock_mhz: CLOCK_MHZ,
         })
     }
-
-    /// Runs the flow, then gates the result on the full lint rule set:
-    /// any Error-severity diagnostic fails the build with
-    /// [`CoreError::Lint`] carrying the report. The opt-in way to catch
-    /// a bad synthesizer change (or a hostile input netlist) before it
-    /// reaches simulation.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Synthesizer::build`] returns, plus
-    /// [`CoreError::Lint`] when the linted design violates a rule at
-    /// Error severity.
-    pub fn build_linted(self) -> Result<ProtectedDesign, CoreError> {
-        let design = self.build()?;
-        let report = design.lint(&RuleSet::all(), None);
-        if report.error_count() > 0 {
-            return Err(CoreError::Lint(report));
-        }
-        Ok(design)
-    }
 }
 
 #[cfg(test)]

@@ -10,11 +10,11 @@
 //!   combinations (`W` divides the flop count and tiles the code's
 //!   group width);
 //! * [`explore`] — evaluate every point's cost/reliability vector on a
-//!   work-stealing scoped-thread pool, memoizing synthesized designs by
-//!   `(design, W, code, T)` so the wake-strategy variants share one
-//!   build, with the lint registry as a build gate: rejected points
-//!   land in the report's `pruned` section instead of erroring inside
-//!   a worker;
+//!   work-stealing scoped-thread pool, one pool task per build: each
+//!   task synthesizes one `(design, W, code, T)` configuration and then
+//!   evaluates its wake-strategy variants, with the lint registry as a
+//!   build gate: rejected points land in the report's `pruned` section
+//!   instead of erroring inside a worker;
 //! * [`pareto`] — exact multi-objective Pareto fronts over any
 //!   objective subset, plus a weighted knee-point recommendation;
 //! * [`report`] — flat, deterministic JSON/CSV records: the same space
@@ -45,14 +45,17 @@ pub use report::{PointResult, PrunedPoint, SpaceReport};
 pub use space::{DesignSpec, ExplorePoint, SpaceSpec};
 pub use store::{cache_salt, fnv64, DiskStore, StoreLimits, StoreStats};
 
+use cache::catch_build;
 use scanguard_codes::SequenceCodec;
 use scanguard_core::{
-    break_even, measure_cost, sample_wake_upsets, BreakEven, CodeChoice, CostRow, Synthesizer,
+    break_even, measure_cost, sample_wake_upsets, BreakEven, CodeChoice, CostRow, ProtectedDesign,
+    Synthesizer,
 };
 use scanguard_lint::{RuleSet, Severity};
 use scanguard_obs::{arg, Lane, Recorder};
 use scanguard_par::CancelToken;
 use scanguard_power::PowerNetwork;
+use std::collections::HashMap;
 
 /// What one synthesis run contributes to every wake variant of a
 /// `(design, W, code)` configuration.
@@ -171,7 +174,8 @@ impl std::error::Error for ExploreError {}
 
 /// How an exploration runs: thread count plus the optional service
 /// machinery — observability, cooperative cancellation, and the
-/// persistent build store the in-memory cache writes through to.
+/// persistent build store each pool task (one per build) loads from or
+/// writes through to.
 ///
 /// [`explore`] is a thin wrapper over this; a serving daemon fills in
 /// every field.
@@ -181,7 +185,7 @@ pub struct ExploreEnv<'a> {
     pub threads: usize,
     /// Observability sink, when tracing/metrics are on.
     pub obs: Option<&'a Recorder>,
-    /// Cooperative cancellation, checked between points.
+    /// Cooperative cancellation, checked between builds.
     pub cancel: Option<&'a CancelToken>,
     /// Persistent build store: consulted before synthesizing, written
     /// through after. Entries are keyed by the salted
@@ -191,7 +195,7 @@ pub struct ExploreEnv<'a> {
 }
 
 /// Synthesizes, lint-gates and measures one `(design, W, code, T)`
-/// configuration.
+/// configuration, and returns the design with its metrics.
 ///
 /// The gate runs in three stages, cheapest first: a static `T | W`
 /// check (SG104's invariant, caught before any synthesis), the
@@ -202,12 +206,12 @@ pub struct ExploreEnv<'a> {
 /// # Errors
 ///
 /// Returns the stage that rejected the configuration.
-pub fn build_metrics(
+pub fn build_design(
     design: &DesignSpec,
     chains: usize,
     code: CodeChoice,
     test_width: Option<usize>,
-) -> Result<BuildMetrics, BuildRejection> {
+) -> Result<(ProtectedDesign, BuildMetrics), BuildRejection> {
     let tag = format!("{}/W{chains}/{}", design.label(), code.name());
     if let Some(t) = test_width {
         if t == 0 || chains % t != 0 {
@@ -251,14 +255,33 @@ pub fn build_metrics(
     let seed = seed_of(&tag);
     let row = measure_cost(&built, seed);
     let be = break_even(&built, &row);
-    Ok(BuildMetrics {
+    let metrics = BuildMetrics {
         row,
         break_even: be,
         clock_mhz: built.clock_mhz,
-    })
+    };
+    Ok((built, metrics))
 }
 
-/// What one worker produced for one enumerated point.
+/// [`build_design`] without the design: the one cost row of a
+/// configuration, as explore, the CLI's `cost` and `sweep` and the
+/// harness's tables report it. The benchmark's replay calls it too, so
+/// its signature stays.
+///
+/// # Errors
+///
+/// Returns the stage that rejected the configuration.
+pub fn build_metrics(
+    design: &DesignSpec,
+    chains: usize,
+    code: CodeChoice,
+    test_width: Option<usize>,
+) -> Result<BuildMetrics, BuildRejection> {
+    build_design(design, chains, code, test_width).map(|(_, metrics)| metrics)
+}
+
+/// What one enumerated point came to. The benchmark's replay reads it
+/// too, so its shape stays.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointOutcome {
     /// The point was synthesized, measured and Monte-Carlo evaluated.
@@ -267,61 +290,58 @@ pub enum PointOutcome {
     Pruned(PrunedPoint),
 }
 
-/// Evaluates one point: the memoized build metrics plus this wake
-/// strategy's transient and Monte-Carlo recovery outcome. A point the
-/// build gate rejects comes back as [`PointOutcome::Pruned`] — the
-/// caller decides whether that is a report section or a run failure.
+/// The build a point needs: its configuration without the wake
+/// strategy.
+fn build_key(point: &ExplorePoint, test_width: Option<usize>) -> BuildKey {
+    BuildKey {
+        design: point.design.label(),
+        chains: point.chains,
+        code: point.code.name(),
+        test_width,
+    }
+}
+
+/// Loads `point`'s build from the persistent `store`, or runs
+/// [`build_metrics`] and writes the result through. Rejections are
+/// stored too: the gate is deterministic.
+fn load_or_build(
+    point: &ExplorePoint,
+    key: &BuildKey,
+    store: Option<&DiskStore>,
+) -> Result<BuildMetrics, BuildRejection> {
+    let content = key.content();
+    if let Some(store) = store {
+        if let Some(doc) = store.load(&content) {
+            if let Ok(stored) = serde_json::from_str::<StoredBuild>(&doc) {
+                return stored.into_result();
+            }
+        }
+    }
+    let built = build_metrics(&point.design, point.chains, point.code, key.test_width);
+    if let Some(store) = store {
+        if let Ok(doc) = serde_json::to_string(&StoredBuild::from_result(&built)) {
+            let _ = store.save(&content, &doc);
+        }
+    }
+    built
+}
+
+/// One point's outcome given its build: this wake strategy's transient
+/// and Monte-Carlo recovery run on top of the build's metrics, or the
+/// build gate's rejection as a pruned point.
 ///
 /// The recovery outcome comes from [`sample_wake_upsets`], the sampler
 /// behind the harness's rush ablation too: upsets cluster along the
 /// chain-major latch array while codewords run across chains at equal
 /// depth. Codes that only detect (CRC, parity) get no codec, so their
 /// residual rate is the upset rate.
-///
-/// When a persistent `store` is supplied, the in-memory cache becomes
-/// a write-through layer over it: a memory miss first consults the
-/// store (deserializing a previous run's build instead of
-/// re-synthesizing) and a fresh build is written through on the way
-/// out. Rejections are stored too — the gate is deterministic.
-///
-/// # Errors
-///
-/// Returns a message only for internal invariant failures (a code
-/// family that cannot produce its block codec, a panicked builder);
-/// build-gate rejections are data, not errors.
-pub fn evaluate_point(
+fn point_outcome(
     point: &ExplorePoint,
-    cache: &SynthCache<Result<BuildMetrics, BuildRejection>>,
+    build: &Result<BuildMetrics, BuildRejection>,
     trials: u64,
     test_width: Option<usize>,
-    store: Option<&DiskStore>,
 ) -> Result<PointOutcome, String> {
-    let key = BuildKey {
-        design: point.design.label(),
-        chains: point.chains,
-        code: point.code.name(),
-        test_width,
-    };
-    let content = key.content();
-    let build = cache
-        .try_get_or_build(key, || {
-            if let Some(store) = store {
-                if let Some(doc) = store.load(&content) {
-                    if let Ok(stored) = serde_json::from_str::<StoredBuild>(&doc) {
-                        return stored.into_result();
-                    }
-                }
-            }
-            let built = build_metrics(&point.design, point.chains, point.code, test_width);
-            if let Some(store) = store {
-                if let Ok(doc) = serde_json::to_string(&StoredBuild::from_result(&built)) {
-                    let _ = store.save(&content, &doc);
-                }
-            }
-            built
-        })
-        .map_err(|p| format!("{}: {p}", point.key()))?;
-    let metrics = match build.as_ref() {
+    let metrics = match build {
         Ok(metrics) => metrics,
         Err(rejection) => {
             return Ok(PointOutcome::Pruned(PrunedPoint {
@@ -385,6 +405,34 @@ pub fn evaluate_point(
     }))
 }
 
+/// Evaluates one point against a shared [`SynthCache`]: the build from
+/// the cache (on a miss, from `store` or a fresh [`build_metrics`],
+/// written through), then this wake strategy's outcome. A point the
+/// build gate rejects comes back as [`PointOutcome::Pruned`].
+///
+/// [`explore_env`] does not use this: it runs one pool task per build.
+/// This form serves only the benchmark's serial replay of the explore
+/// handler and goes when that replay does.
+///
+/// # Errors
+///
+/// Returns a message only for internal invariant failures (a code
+/// family that cannot produce its block codec, a panicked builder);
+/// build-gate rejections are data, not errors.
+pub fn evaluate_point(
+    point: &ExplorePoint,
+    cache: &SynthCache<Result<BuildMetrics, BuildRejection>>,
+    trials: u64,
+    test_width: Option<usize>,
+    store: Option<&DiskStore>,
+) -> Result<PointOutcome, String> {
+    let key = build_key(point, test_width);
+    let build = cache
+        .try_get_or_build(key.clone(), || load_or_build(point, &key, store))
+        .map_err(|p| format!("{}: {p}", point.key()))?;
+    point_outcome(point, &build, trials, test_width)
+}
+
 /// Explores the whole space on `threads` workers.
 ///
 /// Results are ordered by point id and are a pure function of `spec` —
@@ -405,55 +453,90 @@ pub fn explore(spec: &SpaceSpec, threads: usize) -> Result<SpaceReport, String> 
 }
 
 /// [`explore`] with the full environment: a persistent [`DiskStore`]
-/// the per-run synthesis cache writes through to, a [`CancelToken`]
-/// that aborts the run between points, and observability. When a
-/// [`Recorder`] is supplied, every design point becomes a span on its
-/// worker's lane (code, `W`, wake model) and the run's totals land in
-/// the metrics registry — `explore.points`, `explore.pruned` and the
-/// synthesis-cache `explore.cache.hits` / `explore.cache.misses` (all
-/// pure functions of `spec`, so the deterministic snapshot is
-/// thread-count-blind).
+/// each build is loaded from or written through to, a [`CancelToken`]
+/// that aborts the run between builds, and observability.
+///
+/// The points are grouped by [`BuildKey`] in first-appearance order,
+/// and the pool runs one task per group: it loads or synthesizes the
+/// build once, then evaluates that build's wake points. Outcomes go
+/// back in point-id order, and the report's `cache` counts one miss
+/// per build and a hit for every other point.
+///
+/// When a [`Recorder`] is supplied, every build and every design point
+/// becomes a span on its worker's lane (the point span carries code,
+/// `W` and wake model) and the run's totals land in the metrics
+/// registry — `explore.points`, `explore.pruned`, `explore.cache.hits`
+/// and `explore.cache.misses` (all pure functions of `spec`, so the
+/// deterministic snapshot is thread-count-blind).
 ///
 /// The report stays a pure function of `spec` — neither the recorder
-/// nor the store changes it. The store only changes *how fast* a miss
+/// nor the store changes it. The store only changes *how fast* a build
 /// resolves (deserialization instead of synthesis), never what it
 /// resolves to, so warm and cold runs serialize to identical bytes.
 ///
 /// # Errors
 ///
-/// [`ExploreError::Cancelled`] when the token fires before every point
+/// [`ExploreError::Cancelled`] when the token fires before every build
 /// lands; otherwise [`ExploreError::Failed`] as [`explore`].
 pub fn explore_env(spec: &SpaceSpec, env: &ExploreEnv) -> Result<SpaceReport, ExploreError> {
     let points = spec.enumerate();
     let ff_count = spec.design.ff_count();
     let obs = env.obs;
-    let cache: SynthCache<Result<BuildMetrics, BuildRejection>> = SynthCache::new();
+    let mut groups: Vec<(BuildKey, Vec<usize>)> = Vec::new();
+    let mut group_of: HashMap<BuildKey, usize> = HashMap::new();
+    for (i, point) in points.iter().enumerate() {
+        let key = build_key(point, spec.test_width);
+        let g = *group_of.entry(key.clone()).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(i);
+    }
     let results =
-        scanguard_par::run_pool_cancel(points.len(), env.threads, obs, env.cancel, |worker, i| {
-            let point = &points[i];
+        scanguard_par::run_pool_cancel(groups.len(), env.threads, obs, env.cancel, |worker, g| {
+            let lane = Lane::Worker(worker as u32);
+            let (key, members) = &groups[g];
             if let Some(rec) = obs {
-                rec.begin(Lane::Worker(worker as u32), "point", point.id as u64);
+                rec.begin(lane, "build", g as u64);
             }
-            let result = evaluate_point(point, &cache, spec.trials, spec.test_width, env.store);
+            let build = catch_build(|| load_or_build(&points[members[0]], key, env.store));
             if let Some(rec) = obs {
-                rec.end(
-                    Lane::Worker(worker as u32),
-                    "point",
-                    point.id as u64,
-                    vec![
-                        arg("id", point.id as u64),
-                        arg("code", point.code.name()),
-                        arg("chains", point.chains as u64),
-                        arg("wake", point.wake.label()),
-                    ],
-                );
+                rec.end(lane, "build", g as u64, vec![arg("key", key.content())]);
             }
-            result
+            members
+                .iter()
+                .map(|&i| {
+                    let point = &points[i];
+                    if let Some(rec) = obs {
+                        rec.begin(lane, "point", point.id as u64);
+                    }
+                    let result = match &build {
+                        Ok(build) => point_outcome(point, build, spec.trials, spec.test_width),
+                        Err(p) => Err(format!("{}: {p}", point.key())),
+                    };
+                    if let Some(rec) = obs {
+                        rec.end(
+                            lane,
+                            "point",
+                            point.id as u64,
+                            vec![
+                                arg("id", point.id as u64),
+                                arg("code", point.code.name()),
+                                arg("chains", point.chains as u64),
+                                arg("wake", point.wake.label()),
+                            ],
+                        );
+                    }
+                    (i, result)
+                })
+                .collect::<Vec<_>>()
         })
         .map_err(|_| ExploreError::Cancelled)?;
-    let stats = cache.stats();
+    let mut results: Vec<_> = results.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
     let outcomes: Vec<PointOutcome> = results
         .into_iter()
+        .map(|(_, result)| result)
         .collect::<Result<_, String>>()
         .map_err(ExploreError::Failed)?;
     let mut evaluated = Vec::new();
@@ -467,6 +550,10 @@ pub fn explore_env(spec: &SpaceSpec, env: &ExploreEnv) -> Result<SpaceReport, Ex
             PointOutcome::Pruned(p) => return Err(ExploreError::Failed(p.detail)),
         }
     }
+    let stats = CacheStats {
+        hits: points.len() - groups.len(),
+        misses: groups.len(),
+    };
     if let Some(rec) = obs {
         rec.counter("explore.points").add(points.len() as u64);
         rec.counter("explore.pruned").add(pruned.len() as u64);

@@ -1,9 +1,9 @@
 //! Persistent content-addressed build store.
 //!
-//! The in-memory [`crate::SynthCache`] amortizes synthesis within one
-//! exploration run but evaporates with the process. This module is its
-//! durable backing: a directory of JSON entries addressed by the hash
-//! of a **salted** [`crate::BuildKey`] content string, shared across
+//! An exploration run synthesizes each build once, in one pool task per
+//! build, but that work evaporates with the process. This module keeps
+//! it: a directory of JSON entries addressed by the hash of a
+//! **salted** [`crate::BuildKey`] content string, shared across
 //! requests of a serving daemon and across restarts.
 //!
 //! Three properties carry the design:
@@ -22,10 +22,8 @@
 //!   A hit only bumps the clock in memory; the index is written on
 //!   every save and eviction, and when the store is dropped.
 //! * **Write-through layering.** The store never computes anything: a
-//!   caller's builder consults [`DiskStore::load`] before synthesizing
-//!   and [`DiskStore::save`]s afterwards, making the in-memory cache a
-//!   write-through layer over this one (see
-//!   [`crate::explore_env`]).
+//!   build task consults [`DiskStore::load`] before synthesizing and
+//!   [`DiskStore::save`]s afterwards (see [`crate::explore_env`]).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,7 +31,7 @@ use std::sync::Mutex;
 
 /// FNV-1a over a byte string: the store's address hash, the per-point
 /// seed source, and the key imported sources are cached and labelled
-/// under.
+/// under. The benchmark's replay calls it too, so its signature stays.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

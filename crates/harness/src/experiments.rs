@@ -9,9 +9,8 @@ use crate::{FifoTestbench, InjectionMode, ValidationStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scanguard_codes::{BlockCode, Hamming, SequenceCodec};
-use scanguard_core::{sample_wake_upsets, CodeChoice, CostRow, Synthesizer};
-use scanguard_designs::Fifo;
-use scanguard_explore::{build_metrics, BuildMetrics, DesignSpec};
+use scanguard_core::{sample_wake_upsets, CodeChoice, CostRow};
+use scanguard_explore::{build_design, build_metrics, DesignSpec};
 use scanguard_power::{PowerNetwork, WakeStrategy};
 
 /// The chain-count sweep of the paper's Tables I and II.
@@ -21,56 +20,52 @@ pub const PAPER_W_SWEEP: [usize; 5] = [4, 8, 16, 40, 80];
 /// (multiples of each code's data width).
 pub const TABLE3_W: [usize; 4] = [56, 55, 52, 57];
 
-/// Explore's build metrics of the `depth x width` FIFO at one
-/// configuration.
-///
-/// # Panics
-///
-/// Panics with the build gate's reason when the configuration is
-/// rejected (a configuration bug).
-fn fifo_metrics(
-    depth: usize,
-    width: usize,
-    chains: usize,
-    code: CodeChoice,
-    test_width: Option<usize>,
-) -> BuildMetrics {
-    build_metrics(&DesignSpec::Fifo { depth, width }, chains, code, test_width)
-        .unwrap_or_else(|r| panic!("{}", r.detail()))
-}
-
 /// Measures cost rows for `code` across a chain-count sweep on a
 /// `depth x width` FIFO. Rows are measured in parallel (one design per
-/// thread).
+/// thread) and come back in sweep order.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a sweep entry is incompatible with the code's group width
-/// (use multiples of `code.group_width()`).
-#[must_use]
-pub fn cost_sweep(depth: usize, width: usize, code: CodeChoice, sweep: &[usize]) -> Vec<CostRow> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = sweep
-            .iter()
-            .map(|&w| s.spawn(move || fifo_metrics(depth, width, w, code, None).row))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cost worker panicked"))
-            .collect()
+/// The build gate's reason for the first (in sweep order) chain count
+/// it rejects, e.g. one that is not a multiple of the code's group
+/// width.
+pub fn cost_sweep(
+    depth: usize,
+    width: usize,
+    code: CodeChoice,
+    sweep: &[usize],
+) -> Result<Vec<CostRow>, String> {
+    let design = DesignSpec::Fifo { depth, width };
+    scanguard_par::run_pool_obs(sweep.len(), sweep.len(), None, |_, i| {
+        build_metrics(&design, sweep[i], code, None)
+            .map(|m| m.row)
+            .map_err(|r| r.detail().to_owned())
     })
+    .into_iter()
+    .collect()
 }
 
 /// **Table I**: CRC-16 cost sweep on the 32x32 FIFO.
+///
+/// # Panics
+///
+/// Panics if the build gate rejects a paper configuration (a
+/// build-gate bug).
 #[must_use]
 pub fn table1() -> Vec<CostRow> {
-    cost_sweep(32, 32, CodeChoice::crc16(), &PAPER_W_SWEEP)
+    cost_sweep(32, 32, CodeChoice::crc16(), &PAPER_W_SWEEP).expect("Table I configurations build")
 }
 
 /// **Table II**: Hamming(7,4) cost sweep on the 32x32 FIFO.
+///
+/// # Panics
+///
+/// Panics if the build gate rejects a paper configuration (a
+/// build-gate bug).
 #[must_use]
 pub fn table2() -> Vec<CostRow> {
     cost_sweep(32, 32, CodeChoice::hamming7_4(), &PAPER_W_SWEEP)
+        .expect("Table II configurations build")
 }
 
 /// One row of the reproduced Table III.
@@ -90,26 +85,22 @@ pub struct Table3Row {
 /// its paper-matched chain count.
 #[must_use]
 pub fn table3() -> Vec<Table3Row> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (3..=6)
-            .zip(TABLE3_W)
-            .map(|(m, w)| {
-                s.spawn(move || {
-                    let row = fifo_metrics(32, 32, w, CodeChoice::Hamming { m }, None).row;
-                    let code = Hamming::new(m).expect("family order");
-                    Table3Row {
-                        code: BlockCode::name(&code),
-                        overhead_pct: row.overhead_pct,
-                        enc_power_mw: row.enc_power_mw,
-                        capability_pct: code.correction_capability_pct(),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("table3 worker panicked"))
-            .collect()
+    let fifo = DesignSpec::Fifo {
+        depth: 32,
+        width: 32,
+    };
+    scanguard_par::run_pool_obs(TABLE3_W.len(), TABLE3_W.len(), None, |_, i| {
+        let (m, w) = (3 + i as u32, TABLE3_W[i]);
+        let row = build_metrics(&fifo, w, CodeChoice::Hamming { m }, None)
+            .unwrap_or_else(|r| panic!("{}", r.detail()))
+            .row;
+        let code = Hamming::new(m).expect("family order");
+        Table3Row {
+            code: BlockCode::name(&code),
+            overhead_pct: row.overhead_pct,
+            enc_power_mw: row.enc_power_mw,
+            capability_pct: code.correction_capability_pct(),
+        }
     })
 }
 
@@ -276,16 +267,15 @@ pub fn ablation_recovery(
 ) -> Vec<RecoveryRow> {
     use scanguard_core::{checkpoint, restore};
     // The recovery run needs the design itself; the cost and break-even
-    // columns are the configuration's build metrics.
+    // columns are the same build's metrics.
     let build = |code: CodeChoice| {
-        let design = Synthesizer::new(Fifo::generate(depth, width).netlist)
-            .chains(chains)
-            .code(code)
-            .test_width(test_width)
-            .build()
-            .unwrap_or_else(|e| panic!("{}: {e}", code.name()));
-        let metrics = fifo_metrics(depth, width, chains, code, Some(test_width));
-        (design, metrics)
+        build_design(
+            &DesignSpec::Fifo { depth, width },
+            chains,
+            code,
+            Some(test_width),
+        )
+        .unwrap_or_else(|r| panic!("{}", r.detail()))
     };
     let mut rows = Vec::new();
 
@@ -389,7 +379,7 @@ mod tests {
     #[test]
     fn small_cost_sweep_has_paper_shape() {
         // 8x8 FIFO, W in {4, 8}: latency halves, area grows.
-        let rows = cost_sweep(8, 8, CodeChoice::crc16(), &[4, 8]);
+        let rows = cost_sweep(8, 8, CodeChoice::crc16(), &[4, 8]).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows[1].latency_ns < rows[0].latency_ns);
         assert!(rows[1].area_um2 >= rows[0].area_um2);

@@ -103,23 +103,11 @@ pub fn fig10_curve(code: &Hamming, cfg: &Fig10Config) -> Vec<Fig10Point> {
 #[must_use]
 pub fn fig10_family(cfg: &Fig10Config) -> Vec<(String, Vec<Fig10Point>)> {
     let codes = Hamming::paper_family();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = codes
-            .iter()
-            .map(|code| {
-                let cfg = *cfg;
-                s.spawn(move || {
-                    (
-                        scanguard_codes::BlockCode::name(code),
-                        fig10_curve(code, &cfg),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fig10 worker panicked"))
-            .collect()
+    scanguard_par::run_pool_obs(codes.len(), codes.len(), None, |_, i| {
+        (
+            scanguard_codes::BlockCode::name(&codes[i]),
+            fig10_curve(&codes[i], cfg),
+        )
     })
 }
 

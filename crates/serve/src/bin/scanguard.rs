@@ -147,8 +147,7 @@ impl Obs {
         }
         let trace_out = p.text("trace-out")?.map(str::to_owned);
         let profile_out = p.text("profile-out")?.map(str::to_owned);
-        let trace =
-            p.bool("trace")?.unwrap_or(false) || trace_out.is_some() || profile_out.is_some();
+        let trace = trace_out.is_some() || profile_out.is_some();
         let metrics_out = p.text("metrics-out")?.map(str::to_owned);
         let metrics = p.bool("metrics")?.unwrap_or(false) || metrics_out.is_some();
         Ok(Obs {
@@ -317,14 +316,13 @@ GLOBAL OPTIONS (any command):
   --quiet                                       shorthand for --log-level warn
   --deterministic                               zero wall-clock fields so outputs
                                                   compare byte for byte
-  --trace                                       record structured events
-  --trace-out FILE                              write the trace (implies --trace);
-                                                  .jsonl = event stream, else
+  --trace-out FILE                              record structured events and write
+                                                  them: .jsonl = event stream, else
                                                   Chrome trace JSON (Perfetto)
-  --profile-out FILE                            fold the trace into a wall-time
-                                                  profile and write collapsed
-                                                  stacks (flamegraph.pl input;
-                                                  implies --trace)
+  --profile-out FILE                            record structured events and fold
+                                                  them into a wall-time profile:
+                                                  collapsed stacks (flamegraph.pl
+                                                  input)
   --metrics                                     collect counters/histograms and
                                                   print the snapshot on success
   --metrics-out FILE                            write the snapshot to FILE instead
@@ -360,12 +358,11 @@ const COMMAND_KEYS: &[(&str, &str)] = &[
 ];
 
 /// Options every command understands (the observability layer).
-const GLOBAL_KEYS: &str =
-    "log-level quiet deterministic trace trace-out profile-out metrics metrics-out";
+const GLOBAL_KEYS: &str = "log-level quiet deterministic trace-out profile-out metrics metrics-out";
 
 /// Options that are flags: the value is optional and defaults to
 /// `true`.
-const FLAG_KEYS: &[&str] = &["quiet", "trace", "metrics", "no-prune", "deterministic"];
+const FLAG_KEYS: &[&str] = &["quiet", "metrics", "no-prune", "deterministic"];
 
 fn parse_opts(rest: &[String]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
@@ -449,7 +446,7 @@ fn cmd_sweep(p: &Params) -> Result<(), String> {
         .iter()
         .map(|s| s.parse().map_err(|_| format!("bad chain count {s:?}")))
         .collect::<Result<_, _>>()?;
-    let rows = cost_sweep(depth, width, code, &chains);
+    let rows = cost_sweep(depth, width, code, &chains)?;
     print_table(
         &format!("{depth}x{width} FIFO, {}", code.name()),
         &cost_header(),

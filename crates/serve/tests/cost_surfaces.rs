@@ -134,3 +134,22 @@ fn cost_sweep_and_explore_report_one_row_per_configuration() {
         "cost break-even vs explore point ({break_even}):\n{cost}"
     );
 }
+
+/// A chain count the build gate rejects is an error on `sweep` as on
+/// `cost`: exit 1 with the gate's message, not a worker panic.
+#[test]
+fn sweep_answers_a_rejected_configuration_with_the_gate_message() {
+    let run = Command::new(env!("CARGO_BIN_EXE_scanguard"))
+        .args(["sweep", "--code", "hamming:3", "--chains", "6"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(
+            "fifo32x32/W6/Hamming(7,4): chain count 6 is not a multiple of the code group width 4"
+        ),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+}

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CodeChoice::hamming7_4(),
         CodeChoice::ExtendedHamming { m: 3 },
     ] {
-        let rows = cost_sweep(depth, width, code, &sweep);
+        let rows = cost_sweep(depth, width, code, &sweep)?;
         let rendered: Vec<String> = rows.iter().map(ToString::to_string).collect();
         print_table(
             &format!("{depth}x{width} FIFO, {}", code.name()),

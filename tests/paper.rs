@@ -388,6 +388,7 @@ fn ablation_recovery() {
 fn ablation_detection() {
     let parity = CodeChoice::Parity { group_width: 4 };
     let overheads: Vec<f64> = cost_sweep(32, 32, parity, &PAPER_W_SWEEP)
+        .expect("parity sweep builds")
         .iter()
         .map(|r| r.overhead_pct)
         .collect();
