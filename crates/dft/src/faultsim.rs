@@ -402,7 +402,7 @@ impl Tester<'_> {
     fn fresh_sim(&self, fault: Option<Fault>) -> Simulator<'_> {
         let mut sim = Simulator::new(self.netlist, self.lib);
         if let Some(rec) = self.obs {
-            // Settle/frontier metrics are commutative sums over the
+            // Settle and evaluation counts are commutative sums over the
             // (deterministic) per-fault runs, so they stay
             // thread-count-blind.
             sim.attach_obs(rec);

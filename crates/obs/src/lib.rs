@@ -39,11 +39,11 @@
 //!     metrics: true,
 //!     ..RecorderConfig::default()
 //! });
-//! let settles = rec.counter("sim.settle.sparse");
+//! let settles = rec.counter("sim.settles");
 //! rec.begin(Lane::Main, "pattern", 0);
 //! settles.inc();
 //! rec.end(Lane::Main, "pattern", 41, vec![arg("bits", 64u64)]);
-//! assert_eq!(rec.metrics_snapshot().counters["sim.settle.sparse"], 1);
+//! assert_eq!(rec.metrics_snapshot().counters["sim.settles"], 1);
 //! assert!(rec.to_chrome_trace().unwrap().contains("traceEvents"));
 //! ```
 

@@ -9,8 +9,7 @@
 //! volatile, under one timestamp), old samples fall off the back, and
 //! [`SeriesRing::rates`] differences the newest sample against the
 //! oldest one inside the requested window to produce per-second rates
-//! plus a handful of named saturation gauges (cache hit rate, pool
-//! busy fraction).
+//! plus a named saturation gauge (pool busy fraction).
 //!
 //! The ring itself is deliberately dumb — no derivation at record
 //! time, just copies — so a sample costs one snapshot walk and the
@@ -48,8 +47,7 @@ pub struct SeriesRates {
     /// the window (unchanged counters are omitted to keep the payload
     /// proportional to activity, not to registry size).
     pub per_second: BTreeMap<String, f64>,
-    /// Named saturation/efficiency gauges derived from counter deltas:
-    /// `cache_hit_rate` (explore synthesis cache, 0..=1),
+    /// Named saturation gauges derived from counter deltas:
     /// `pool_busy_fraction` (worker busy-ns over busy+idle, 0..=1).
     pub derived: BTreeMap<String, f64>,
 }
@@ -208,16 +206,6 @@ fn derive_rates(oldest: &SeriesSample, newest: &SeriesSample, samples: u64) -> S
         }
     }
     let mut derived = BTreeMap::new();
-    // Synthesis-cache hit rate over the window: of the lookups the
-    // explorer made, how many were free.
-    let hits = delta(&oldest.counters, &newest.counters, "explore.cache.hits");
-    let misses = delta(&oldest.counters, &newest.counters, "explore.cache.misses");
-    if hits + misses > 0 {
-        derived.insert(
-            "cache_hit_rate".to_owned(),
-            hits as f64 / (hits + misses) as f64,
-        );
-    }
     // Pool busy fraction: worker busy-ns over busy+idle across every
     // worker lane that reported inside the window.
     let mut busy = 0u64;
@@ -336,17 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn derived_gauges_track_cache_and_pool() {
+    fn derived_gauge_tracks_the_pool() {
         let rec = recorder();
         let ring = SeriesRing::new(4);
         ring.record(0, &rec.metrics_snapshot());
-        rec.counter("explore.cache.hits").add(3);
-        rec.counter("explore.cache.misses").add(1);
         rec.counter_volatile("par.worker.00.busy_ns").add(750);
         rec.counter_volatile("par.worker.00.idle_ns").add(250);
         ring.record(1000, &rec.metrics_snapshot());
         let rates = ring.rates(5000);
-        assert!((rates.derived["cache_hit_rate"] - 0.75).abs() < 1e-9);
         assert!((rates.derived["pool_busy_fraction"] - 0.75).abs() < 1e-9);
     }
 

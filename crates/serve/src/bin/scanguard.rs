@@ -5,7 +5,7 @@
 //! scanguard sweep    --depth 32 --width 32 --code crc16 --chains 4,8,16,40,80
 //! scanguard explore  --design fifo32x32 --threads 8 --out space.json
 //! scanguard pareto   --in space.json --objectives area,latency
-//! scanguard validate --sequences 20 --mode burst
+//! scanguard validate --sequences 20
 //! scanguard fig10    --sequences 10000
 //! scanguard rush     --trials 2000
 //! scanguard verilog  --depth 8 --width 8 --chains 8 --code crc16 --out fifo.v
@@ -85,7 +85,7 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), String> {
     if let Some(key) = positional.filter(|_| rest.first().is_some_and(|a| !a.starts_with("--"))) {
         rest.insert(0, key.to_owned());
     }
-    let mut opts = parse_opts(&rest)?;
+    let (mut opts, dangling) = parse_opts(&rest)?;
     // For `verify`, --trace-out names the counterexample VCD, not the
     // obs event trace — pull it out before the obs layer sees it (and
     // would turn on event recording).
@@ -99,6 +99,11 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), String> {
         .chain(GLOBAL_KEYS.split(' '))
         .collect();
     let params = Params::Argv(&opts, &own);
+    if let Some(name) = dangling {
+        // An unknown option is reported as unknown, value or not.
+        params.check(cmd, Job::keys(cmd).unwrap_or(""))?;
+        return Err(format!("missing value for --{name}"));
+    }
     let obs = Obs::from_params(&params)?;
     if Job::KINDS.contains(&cmd) {
         let job = Job::parse(cmd, &params)?;
@@ -241,7 +246,7 @@ COMMANDS:
               --in FILE [--objectives area,latency,...]
               [--recommend true] [--weights W,W,...]
   validate  run the Fig. 8 testbench (32x32 FIFO, 80 chains)
-              [--sequences N] [--mode single|burst|none]
+              [--sequences N]
   fig10     Monte-Carlo correction-ability curves
               [--sequences N] [--burst true]
   rush      wake-strategy ablation over the RLC/upset models
@@ -338,7 +343,7 @@ const COMMAND_KEYS: &[(&str, &str)] = &[
     ("sweep", "depth width code chains json csv"),
     ("explore", "out csv"),
     ("pareto", ""),
-    ("validate", "sequences mode"),
+    ("validate", "sequences"),
     ("fig10", "sequences burst"),
     ("rush", "trials"),
     ("coverage", "json"),
@@ -364,7 +369,10 @@ const GLOBAL_KEYS: &str = "log-level quiet deterministic trace-out profile-out m
 /// `true`.
 const FLAG_KEYS: &[&str] = &["quiet", "metrics", "no-prune", "deterministic"];
 
-fn parse_opts(rest: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--key value` pairs. A trailing non-flag key without a value
+/// is kept in the map (with an empty value, so the key check sees it)
+/// and returned as the second element.
+fn parse_opts(rest: &[String]) -> Result<(HashMap<String, String>, Option<String>), String> {
     let mut opts = HashMap::new();
     let mut it = rest.iter().peekable();
     while let Some(key) = it.next() {
@@ -380,12 +388,13 @@ fn parse_opts(rest: &[String]) -> Result<HashMap<String, String>, String> {
             opts.insert(name.to_owned(), value);
             continue;
         }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("missing value for --{name}"))?;
+        let Some(value) = it.next() else {
+            opts.insert(name.to_owned(), String::new());
+            return Ok((opts, Some(name.to_owned())));
+        };
         opts.insert(name.to_owned(), value.clone());
     }
-    Ok(opts)
+    Ok((opts, None))
 }
 
 fn num_threads_default() -> usize {
@@ -554,11 +563,6 @@ fn print_front(result: &SpaceReport, objectives: &[Objective], front: &[usize]) 
 
 fn cmd_validate(p: &Params, obs: &Obs) -> Result<(), String> {
     let sequences = p.u64("sequences")?.unwrap_or(10);
-    let mode = p.text("mode")?.unwrap_or("single");
-    match mode {
-        "single" | "burst" | "none" => {}
-        other => return Err(format!("unknown mode {other:?}")),
-    }
     obs.rec
         .info("running the Fig. 8 testbench (32x32 FIFO, 80 chains)...");
     let runs = validation(sequences, obs.active().map(|_| &obs.rec));

@@ -17,9 +17,7 @@
 use crate::job::{Job, JobCtx, Params};
 use crate::protocol::{err_response, id_key, num, ok_response, ErrorCode, Request};
 use scanguard_explore::{cache_salt, DiskStore, StoreLimits};
-use scanguard_obs::{
-    arg, to_prometheus, Lane, Level, Recorder, RecorderConfig, SeriesRates, SeriesRing,
-};
+use scanguard_obs::{arg, to_prometheus, Lane, Recorder, RecorderConfig, SeriesRates, SeriesRing};
 use scanguard_par::{CancelToken, PoolBudget};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
@@ -42,14 +40,14 @@ pub struct ServeConfig {
     pub store_limits: StoreLimits,
     /// Collect trace events (request lanes).
     pub trace: bool,
-    /// stderr log threshold.
-    pub log_level: Level,
     /// Telemetry sampler tick in milliseconds (0 disables the
     /// background sampler; requests can still sample on demand).
     pub sample_interval_ms: u64,
-    /// Samples the telemetry ring holds before evicting the oldest.
-    pub series_capacity: usize,
 }
+
+/// Samples the telemetry ring holds before evicting the oldest (ten
+/// minutes at the default 1 s sampler tick).
+const SERIES_CAPACITY: usize = 600;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -58,9 +56,7 @@ impl Default for ServeConfig {
             store_dir: None,
             store_limits: StoreLimits::default(),
             trace: false,
-            log_level: Level::Info,
             sample_interval_ms: 1000,
-            series_capacity: 600,
         }
     }
 }
@@ -115,12 +111,11 @@ impl Daemon {
             budget: PoolBudget::new(cfg.slots),
             store,
             rec: Recorder::new(RecorderConfig {
-                level: cfg.log_level,
                 trace: cfg.trace,
                 metrics: true,
                 ..RecorderConfig::default()
             }),
-            series: SeriesRing::new(cfg.series_capacity),
+            series: SeriesRing::new(SERIES_CAPACITY),
             sample_interval_ms: cfg.sample_interval_ms,
             started: Instant::now(),
             requests_total: AtomicU64::new(0),
@@ -643,7 +638,6 @@ mod tests {
         Arc::new(
             Daemon::new(&ServeConfig {
                 slots: 2,
-                log_level: Level::Off,
                 ..ServeConfig::default()
             })
             .unwrap(),

@@ -151,13 +151,11 @@ fn respond(mut stream: TcpStream, status: &str, content_type: &str, body: &str) 
 mod tests {
     use super::*;
     use crate::daemon::{Daemon, ServeConfig};
-    use scanguard_obs::Level;
 
     fn daemon() -> Arc<Daemon> {
         Arc::new(
             Daemon::new(&ServeConfig {
                 slots: 2,
-                log_level: Level::Off,
                 ..ServeConfig::default()
             })
             .unwrap(),

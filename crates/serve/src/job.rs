@@ -885,17 +885,24 @@ impl<'a> Job<'a> {
     pub const KINDS: &'static [&'static str] =
         &["lint", "verify", "coverage", "explore", "pareto", "import"];
 
-    /// Parses a job of `kind`.
-    pub fn parse(kind: &str, p: &Params<'a>) -> Result<Self, String> {
-        let keys = match kind {
+    /// The parameter keys of job `kind` (wire spelling), or `None` for
+    /// an unknown kind.
+    #[must_use]
+    pub fn keys(kind: &str) -> Option<&'static str> {
+        Some(match kind {
             "lint" => LintJob::KEYS,
             "verify" => VerifyJob::KEYS,
             "coverage" => CoverageJob::KEYS,
             "import" => ImportJob::KEYS,
             "explore" => ExploreJob::KEYS,
             "pareto" => ParetoJob::KEYS,
-            other => return Err(format!("unknown job kind {other:?}")),
-        };
+            _ => return None,
+        })
+    }
+
+    /// Parses a job of `kind`.
+    pub fn parse(kind: &str, p: &Params<'a>) -> Result<Self, String> {
+        let keys = Self::keys(kind).ok_or_else(|| format!("unknown job kind {kind:?}"))?;
         p.check(kind, keys)?;
         Ok(match kind {
             "lint" => Job::Lint(LintJob::parse(p)?),

@@ -1,0 +1,54 @@
+//! The CLI's option errors: an unknown option is named as unknown
+//! whether or not a value follows it, and a known option without its
+//! value is named as missing one.
+
+use std::process::Command;
+
+/// Runs the binary, expecting exit 1; returns its stderr.
+fn failing(args: &[&str]) -> String {
+    let run = Command::new(env!("CARGO_BIN_EXE_scanguard"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+    assert_eq!(run.status.code(), Some(1), "scanguard {args:?}:\n{stderr}");
+    stderr
+}
+
+#[test]
+fn an_unknown_option_without_a_value_is_named_unknown() {
+    let stderr = failing(&["rush", "--trials", "10", "--bogus"]);
+    assert!(
+        stderr.contains("unknown option --bogus for rush"),
+        "stderr:\n{stderr}"
+    );
+    // Job commands check their own key sets the same way.
+    let stderr = failing(&["lint", "fifo8x8", "--bogus"]);
+    assert!(
+        stderr.contains("unknown option --bogus for lint"),
+        "stderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn a_known_option_without_a_value_is_named_missing() {
+    let stderr = failing(&["lint", "fifo8x8", "--deny"]);
+    assert!(
+        stderr.contains("missing value for --deny"),
+        "stderr:\n{stderr}"
+    );
+    let stderr = failing(&["rush", "--trials"]);
+    assert!(
+        stderr.contains("missing value for --trials"),
+        "stderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn validate_has_no_mode_option() {
+    let stderr = failing(&["validate", "--sequences", "1", "--mode", "burst"]);
+    assert!(
+        stderr.contains("unknown option --mode for validate"),
+        "stderr:\n{stderr}"
+    );
+}

@@ -61,7 +61,6 @@ fn explore_on_an_imported_source_matches_across_surfaces_and_requests() {
 
     let daemon = Daemon::new(&ServeConfig {
         slots: 2,
-        log_level: scanguard_obs::Level::Off,
         ..ServeConfig::default()
     })
     .expect("daemon boots");

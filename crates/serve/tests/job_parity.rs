@@ -48,7 +48,6 @@ fn cli(tag: &str, args: &[&str], out_flag: &str) -> Value {
 fn daemon(request: Value) -> Value {
     let d = Daemon::new(&ServeConfig {
         slots: 2,
-        log_level: scanguard_obs::Level::Off,
         ..ServeConfig::default()
     })
     .expect("daemon boots");

@@ -54,7 +54,6 @@ impl Server {
         let cfg = ServeConfig {
             slots: 8,
             store_dir,
-            log_level: scanguard_obs::Level::Off,
             ..ServeConfig::default()
         };
         let daemon = Arc::new(Daemon::new(&cfg).expect("daemon boots"));

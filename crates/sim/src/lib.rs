@@ -24,7 +24,8 @@
 //! # Two engines
 //!
 //! * [`Simulator`] — one machine, one [`Logic`](scanguard_netlist::Logic)
-//!   per net, incremental settle. It is the only engine with power
+//!   per net; a settle walks the topological order once and evaluates
+//!   only the cells with a changed input. It is the only engine with power
 //!   domains, RETAIN sequencing and the energy accounting that
 //!   `measure_cost` reads.
 //! * [`WideSimulator`] — a compiled word-block program: 64 machines per

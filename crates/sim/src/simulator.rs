@@ -57,23 +57,17 @@ pub struct Simulator<'a> {
     /// consumed by then — loads sit later in topological order than
     /// their drivers).
     dirty: Vec<bool>,
-    /// The nets currently flagged in `dirty`, as a compact list: lets a
-    /// settle with a tiny change frontier run event-driven instead of
-    /// scanning every cell's flags.
-    dirty_list: Vec<u32>,
+    /// Whether any net is flagged in `dirty`: a settle with nothing
+    /// flagged (and no `all_dirty`) returns without scanning.
+    changed: bool,
     /// Escape hatch for events that change cell outputs without touching
     /// any input net (domain power flips, clearing stuck-at forces):
     /// forces the next settle to evaluate everything.
     all_dirty: bool,
-    /// Per-topo-position "already queued" flags for the sparse settle.
-    queued: Vec<bool>,
-    /// Work queue of the sparse settle (kept across calls to reuse its
-    /// allocation).
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
     /// Flattened struct-of-arrays cell metadata (kinds, output nets,
-    /// CSR input lists, energy figures, fan-out lists) — everything the
-    /// settle/capture/commit loops read, laid out contiguously so the
-    /// hot path never chases `Netlist` cell pointers.
+    /// CSR input lists, energy figures) — everything the settle,
+    /// capture and commit loops read, laid out contiguously so the hot
+    /// path never chases `Netlist` cell pointers.
     tables: SimTables,
     domain_of: Vec<DomainId>,
     domains: Vec<Domain>,
@@ -94,17 +88,13 @@ pub struct Simulator<'a> {
 /// allocation-free relaxed atomics on the hot path).
 #[derive(Debug)]
 struct SimObs {
-    /// Settles served by the event-driven sparse walk.
-    settle_sparse: scanguard_obs::CounterHandle,
-    /// Settles served by the linear full scan.
-    settle_full: scanguard_obs::CounterHandle,
+    /// Settle calls.
+    settles: scanguard_obs::CounterHandle,
     /// Combinational cells evaluated across all settles.
     cell_evals: scanguard_obs::CounterHandle,
     /// Clock cycles stepped (the telemetry sampler derives cycles/s
     /// from this).
     cycles: scanguard_obs::CounterHandle,
-    /// Dirty-net frontier size at the start of each settle.
-    frontier: scanguard_obs::HistogramHandle,
 }
 
 impl<'a> Simulator<'a> {
@@ -127,10 +117,8 @@ impl<'a> Simulator<'a> {
             next_ff: vec![Logic::X; netlist.cell_count()],
             ibuf: vec![Logic::X; tables.max_fanin],
             dirty: vec![false; netlist.net_count()],
-            dirty_list: Vec::new(),
+            changed: false,
             all_dirty: true,
-            queued: vec![false; tables.comb_len()],
-            heap: std::collections::BinaryHeap::new(),
             tables,
             domain_of: vec![DomainId::ALWAYS_ON; netlist.cell_count()],
             domains: vec![Domain::new("always_on", true)],
@@ -143,21 +131,17 @@ impl<'a> Simulator<'a> {
     }
 
     /// Starts recording incremental-settle statistics into `rec`'s
-    /// metrics registry: `sim.settle.sparse` / `sim.settle.full`
-    /// (settles per strategy), `sim.cell_evals` (combinational
-    /// evaluations), `sim.cycles` (clock steps) and the
-    /// `sim.settle.frontier` histogram (dirty-net frontier size per
-    /// settle). Handles are resolved here, once — the per-settle cost
-    /// is a handful of relaxed atomic adds, with no allocation
+    /// metrics registry: `sim.settles` (settle calls), `sim.cell_evals`
+    /// (combinational evaluations) and `sim.cycles` (clock steps).
+    /// Handles are resolved here, once — the per-settle cost
+    /// is a couple of relaxed atomic adds, with no allocation
     /// (asserted by the `zero_alloc` integration test), and simulation
     /// semantics are untouched.
     pub fn attach_obs(&mut self, rec: &scanguard_obs::Recorder) {
         self.obs = Some(SimObs {
-            settle_sparse: rec.counter("sim.settle.sparse"),
-            settle_full: rec.counter("sim.settle.full"),
+            settles: rec.counter("sim.settles"),
             cell_evals: rec.counter("sim.cell_evals"),
             cycles: rec.counter("sim.cycles"),
-            frontier: rec.histogram("sim.settle.frontier"),
         });
     }
 
@@ -316,10 +300,8 @@ impl<'a> Simulator<'a> {
         let i = net.index();
         if self.values[i] != value {
             self.values[i] = value;
-            if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.dirty_list.push(i as u32);
-            }
+            self.dirty[i] = true;
+            self.changed = true;
         }
     }
 
@@ -418,37 +400,54 @@ impl<'a> Simulator<'a> {
     /// register values, accumulating switching energy for every net that
     /// changes.
     ///
-    /// The pass is incremental: a cell is evaluated only when one of its
-    /// input nets changed since the last settle (every evaluation is a
-    /// pure function of the inputs, so an unchanged cone cannot produce
-    /// a new output). Events that invalidate outputs without touching
-    /// inputs — power switching, [`clear_stuck`](Self::clear_stuck) —
-    /// force one full pass.
+    /// The pass is incremental: it walks the topological order and
+    /// evaluates a cell only when one of its input nets changed since
+    /// the last settle (every evaluation is a pure function of the
+    /// inputs, so an unchanged cone cannot produce a new output). Events
+    /// that invalidate outputs without touching inputs — power
+    /// switching, [`clear_stuck`](Self::clear_stuck) — force one full
+    /// pass.
     pub fn settle(&mut self) {
-        // With a small change frontier the event-driven walk wins; past
-        // that, a linear flag-checking scan over the topological order
-        // has better constants. Either way the evaluated cells — and the
-        // order they are evaluated in — are identical.
-        const SPARSE_LIMIT: usize = 32;
-        if self.all_dirty || self.dirty_list.len() >= SPARSE_LIMIT {
-            if let Some(o) = &self.obs {
-                o.settle_full.inc();
-                o.frontier.record(self.dirty_list.len() as u64);
-            }
-            self.settle_full();
-        } else {
-            if let Some(o) = &self.obs {
-                o.settle_sparse.inc();
-                o.frontier.record(self.dirty_list.len() as u64);
-            }
-            self.settle_sparse();
+        if let Some(o) = &self.obs {
+            o.settles.inc();
         }
+        let all = self.all_dirty;
+        if !all && !self.changed {
+            return;
+        }
+        let mut evals = 0u64;
+        for pos in 0..self.tables.comb_len() {
+            if !all {
+                let mut any = false;
+                for src in self.tables.c_inputs(pos) {
+                    if self.dirty[self.tables.c_ins[src] as usize] {
+                        any = true;
+                        break;
+                    }
+                }
+                if !any {
+                    continue;
+                }
+            }
+            evals += 1;
+            if let Some(out) = self.eval_pos(pos) {
+                self.dirty[out] = true;
+            }
+        }
+        if let Some(o) = &self.obs {
+            o.cell_evals.add(evals);
+        }
+        // Every flag set before or during this pass has been consumed
+        // (loads follow drivers in topological order).
+        self.dirty.fill(false);
+        self.changed = false;
+        self.all_dirty = false;
     }
 
-    /// Evaluates one combinational cell by its topological position
-    /// (shared by both settle paths); returns the cell's output net
-    /// index when the output changed. All metadata comes from the
-    /// struct-of-arrays tables — no `Netlist` access on this path.
+    /// Evaluates one combinational cell by its topological position;
+    /// returns the cell's output net index when the output changed. All
+    /// metadata comes from the struct-of-arrays tables — no `Netlist`
+    /// access on this path.
     #[inline]
     fn eval_pos(&mut self, pos: usize) -> Option<usize> {
         let ins = self.tables.c_inputs(pos);
@@ -484,80 +483,6 @@ impl<'a> Simulator<'a> {
         }
         self.values[out] = new;
         Some(out)
-    }
-
-    /// The linear settle: walk the whole topological order, evaluating
-    /// cells with a changed input (or everything when `all_dirty`).
-    fn settle_full(&mut self) {
-        let all = self.all_dirty;
-        let mut evals = 0u64;
-        for pos in 0..self.tables.comb_len() {
-            if !all {
-                let mut any = false;
-                for src in self.tables.c_inputs(pos) {
-                    if self.dirty[self.tables.c_ins[src] as usize] {
-                        any = true;
-                        break;
-                    }
-                }
-                if !any {
-                    continue;
-                }
-            }
-            evals += 1;
-            if let Some(out) = self.eval_pos(pos) {
-                self.dirty[out] = true;
-            }
-        }
-        if let Some(o) = &self.obs {
-            o.cell_evals.add(evals);
-        }
-        // Every flag set before or during this pass has been consumed
-        // (loads follow drivers in topological order).
-        self.dirty.fill(false);
-        self.dirty_list.clear();
-        self.all_dirty = false;
-    }
-
-    /// The event-driven settle: seed a queue with the loads of the dirty
-    /// nets and walk it in topological order, enqueueing further loads
-    /// only when an output actually changes. Evaluates the same cells in
-    /// the same order as [`settle_full`](Self::settle_full) — it just
-    /// never visits the quiet ones.
-    fn settle_sparse(&mut self) {
-        let mut heap = std::mem::take(&mut self.heap);
-        for k in 0..self.dirty_list.len() {
-            let net = self.dirty_list[k] as usize;
-            self.dirty[net] = false;
-            for j in 0..self.tables.fanout[net].len() {
-                let pos = self.tables.fanout[net][j];
-                if !self.queued[pos as usize] {
-                    self.queued[pos as usize] = true;
-                    heap.push(std::cmp::Reverse(pos));
-                }
-            }
-        }
-        self.dirty_list.clear();
-        let mut evals = 0u64;
-        while let Some(std::cmp::Reverse(pos)) = heap.pop() {
-            // Safe to unqueue on pop: loads sit strictly later in the
-            // topological order, so a popped cell can never be re-pushed.
-            self.queued[pos as usize] = false;
-            evals += 1;
-            if let Some(out) = self.eval_pos(pos as usize) {
-                for j in 0..self.tables.fanout[out].len() {
-                    let succ = self.tables.fanout[out][j];
-                    if !self.queued[succ as usize] {
-                        self.queued[succ as usize] = true;
-                        heap.push(std::cmp::Reverse(succ));
-                    }
-                }
-            }
-        }
-        self.heap = heap;
-        if let Some(o) = &self.obs {
-            o.cell_evals.add(evals);
-        }
     }
 
     /// Advances one clock cycle: settle, capture, commit, settle.
@@ -607,10 +532,8 @@ impl<'a> Simulator<'a> {
                     self.dynamic_pj += self.tables.s_toggle_pj[s];
                 }
                 self.values[out] = new;
-                if !self.dirty[out] {
-                    self.dirty[out] = true;
-                    self.dirty_list.push(out as u32);
-                }
+                self.dirty[out] = true;
+                self.changed = true;
             }
         }
         self.cycles += 1;
@@ -960,17 +883,14 @@ mod tests {
     }
 
     #[test]
-    fn mixed_po_and_seq_fanout_survives_the_sparse_worklist() {
-        // Audit regression for the incremental dirty-net worklist: a
-        // combinational cell whose output feeds BOTH a primary output
-        // and a sequential cell gets no combinational fan-out entry for
-        // either load (`fanout` only lists comb topo positions), so the
-        // sparse settle never re-queues anything for it. That is
-        // correct — eval writes the value plane immediately, and both
-        // the PO read and the capture loop read the value plane
-        // directly, not the worklist — but nothing pinned it. This
-        // drives single-net frontiers (guaranteeing the sparse path)
-        // and checks the PO and the captured flop value every cycle.
+    fn mixed_po_and_seq_loads_survive_the_incremental_settle() {
+        // A combinational cell whose output feeds BOTH a primary output
+        // and a sequential cell has no combinational load, so nothing
+        // in the settle re-evaluates anything for it. That is correct —
+        // eval writes the value plane immediately, and both the PO read
+        // and the capture loop read the value plane directly — and this
+        // pins it: single-net changes each cycle, checking the PO and
+        // the captured flop value every cycle.
         let mut b = NetlistBuilder::new("shared_load");
         let a = b.input("a");
         let c = b.input("c");
@@ -985,8 +905,7 @@ mod tests {
         sim.set_port("c", Logic::Zero).unwrap();
         sim.step(); // flush the initial all-dirty full pass
         for i in 0..8 {
-            // Exactly one input flips per cycle: frontier of 1, far
-            // below the sparse limit.
+            // Exactly one input flips per cycle.
             let level = Logic::from(i % 2 == 0);
             if i % 2 == 0 {
                 sim.set_port("a", level).unwrap();
@@ -998,7 +917,7 @@ mod tests {
             assert_eq!(
                 sim.port_value("g").unwrap(),
                 expect,
-                "PO stale after sparse settle, cycle {i}"
+                "PO stale after settle, cycle {i}"
             );
             sim.step();
             assert_eq!(

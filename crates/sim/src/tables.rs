@@ -8,9 +8,9 @@
 //! parallel arrays (kind, output net, flattened input nets, per-cell
 //! energy figures), split into the value plane's two populations:
 //! combinational cells in topological order and sequential cells in
-//! cell-id order. The simulator indexes these arrays by *position*, so
-//! the evaluation order — and therefore every value and every f64
-//! energy sum — is identical to the pre-refactor cell-by-cell walk.
+//! cell-id order. The settle walks the combinational arrays by
+//! *position*, so cells are evaluated in topological order and every
+//! value and every f64 energy sum follows that one fixed order.
 
 use scanguard_netlist::{CellLibrary, GateKind, Netlist};
 
@@ -51,9 +51,6 @@ pub(crate) struct SimTables {
     pub s_toggle_pj: Vec<f64>,
     /// Per-flop clock-pin energy, pJ.
     pub s_clock_pj: Vec<f64>,
-    /// Combinational loads of each net, as positions into the `c_*`
-    /// arrays (the sparse settle's fan-out lists).
-    pub fanout: Vec<Vec<u32>>,
 }
 
 impl SimTables {
@@ -83,11 +80,9 @@ impl SimTables {
             s_cell: Vec::new(),
             s_toggle_pj: Vec::new(),
             s_clock_pj: Vec::new(),
-            fanout: vec![Vec::new(); netlist.net_count()],
         };
         t.c_in_off.push(0);
-        for (pos, &cell_id) in order.iter().enumerate() {
-            let pos = u32::try_from(pos).expect("combinational cell count fits u32");
+        for &cell_id in order {
             let cell = netlist.cell(cell_id);
             let params = lib.params(cell.kind());
             t.c_kind.push(cell.kind());
@@ -97,9 +92,8 @@ impl SimTables {
                 .push(u32::try_from(cell_id.index()).expect("cell index fits u32"));
             t.c_toggle_pj.push(params.toggle_energy_pj);
             for &inp in cell.inputs() {
-                let i = u32::try_from(inp.index()).expect("net index fits u32");
-                t.c_ins.push(i);
-                t.fanout[inp.index()].push(pos);
+                t.c_ins
+                    .push(u32::try_from(inp.index()).expect("net index fits u32"));
             }
             t.c_in_off
                 .push(u32::try_from(t.c_ins.len()).expect("input count fits u32"));
