@@ -135,14 +135,6 @@ impl CrcDigest {
         }
     }
 
-    /// Shifts the low `nbits` of `word`, LSB first — the order in which a
-    /// scan word presents bits when chains are consumed in index order.
-    pub fn update_word(&mut self, word: u64, nbits: u32) {
-        for i in 0..nbits {
-            self.update_bit((word >> i) & 1 == 1);
-        }
-    }
-
     /// Current register value.
     #[must_use]
     pub fn value(&self) -> u32 {
@@ -232,19 +224,6 @@ mod tests {
                 assert_ne!(crc.checksum_bits(&f), sig, "burst at {start} len {len}");
             }
         }
-    }
-
-    #[test]
-    fn word_update_matches_bit_update() {
-        let crc = Crc::crc16_ccitt();
-        let mut a = crc.digest();
-        let mut b = crc.digest();
-        let word: u64 = 0b1011_0010_1110_0001;
-        a.update_word(word, 16);
-        for i in 0..16 {
-            b.update_bit((word >> i) & 1 == 1);
-        }
-        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

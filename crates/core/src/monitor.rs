@@ -373,7 +373,7 @@ pub fn attach_monitor(
                 }
                 store_bits += width;
                 // Unrolled parallel update: group_width serial stages,
-                // LSB-first chain order (matches CrcDigest::update_word).
+                // LSB-first chain order (chain 0 enters the register first).
                 let mut state = qs.clone();
                 for &bit in &so {
                     let fb = g.xor2(state[width - 1], bit);
@@ -519,16 +519,6 @@ mod tests {
         }
     }
 
-    /// Puts the chain flops in a clock-gateable domain, as the proposed
-    /// controller does: the chains must hold still during monitor clear
-    /// and capture cycles.
-    fn gate_chains(sim: &mut Simulator<'_>, sc: &ScanChains) -> scanguard_sim::DomainId {
-        let pd = sim.define_domain("pgc");
-        let cells: Vec<_> = sc.cells().collect();
-        sim.assign_domain_all(cells, pd);
-        pd
-    }
-
     #[test]
     fn groupability_is_enforced() {
         let (mut nl, sc) = scanned(12, 6);
@@ -563,7 +553,10 @@ mod tests {
         let lib = CellLibrary::st120nm();
         let mut sim = Simulator::new(&nl, &lib);
         quiesce_inputs(&mut sim, 8);
-        let pd = gate_chains(&mut sim, &sc);
+        // The chains sit in the clock-gateable domain, as the proposed
+        // controller has them: they hold still during monitor clear and
+        // capture cycles.
+        sim.gate(sc.cells());
         sc.set_scan_enable(&mut sim, true);
         let l = sc.max_len();
 
@@ -576,10 +569,10 @@ mod tests {
         sc.load(&mut sim, &state);
 
         // Encode: clear sequencers (chains frozen), then l enabled cycles.
-        sim.set_clock_enable(pd, false);
+        sim.set_clock_enable(false);
         drive_ports(&mut sim, &mh, false, false, true);
         sim.step();
-        sim.set_clock_enable(pd, true);
+        sim.set_clock_enable(true);
         drive_ports(&mut sim, &mh, true, false, false);
         sim.step_n(l);
         assert_eq!(sc.snapshot(&sim), state, "encode circulation is lossless");
@@ -590,10 +583,10 @@ mod tests {
         sim.force_ff(victim, !v);
 
         // Decode: clear sequencers, l cycles with correction enabled.
-        sim.set_clock_enable(pd, false);
+        sim.set_clock_enable(false);
         drive_ports(&mut sim, &mh, false, true, true);
         sim.step();
-        sim.set_clock_enable(pd, true);
+        sim.set_clock_enable(true);
         drive_ports(&mut sim, &mh, true, true, false);
         let mut err_seen = false;
         for _ in 0..l {
@@ -619,7 +612,7 @@ mod tests {
         let lib = CellLibrary::st120nm();
         let mut sim = Simulator::new(&nl, &lib);
         quiesce_inputs(&mut sim, 8);
-        let pd = gate_chains(&mut sim, &sc);
+        sim.gate(sc.cells());
         sc.set_scan_enable(&mut sim, true);
         let l = sc.max_len();
 
@@ -633,13 +626,13 @@ mod tests {
 
         // One monitor pass: clear (chains frozen), l shifts, freeze.
         let pass = |sim: &mut Simulator<'_>| {
-            sim.set_clock_enable(pd, false);
+            sim.set_clock_enable(false);
             drive_ports(sim, &mh, false, false, true);
             sim.step();
-            sim.set_clock_enable(pd, true);
+            sim.set_clock_enable(true);
             drive_ports(sim, &mh, true, false, false);
             sim.step_n(l);
-            sim.set_clock_enable(pd, false);
+            sim.set_clock_enable(false);
             drive_ports(sim, &mh, false, false, false);
         };
 
@@ -648,7 +641,7 @@ mod tests {
         sim.set_net(cap, Logic::One);
         sim.step();
         sim.set_net(cap, Logic::Zero);
-        sim.set_clock_enable(pd, true);
+        sim.set_clock_enable(true);
         assert_eq!(sc.snapshot(&sim), state, "encode preserved the state");
 
         // Clean decode: recompute, compare -> no error.
@@ -659,7 +652,7 @@ mod tests {
             Logic::Zero,
             "clean state matches signature"
         );
-        sim.set_clock_enable(pd, true);
+        sim.set_clock_enable(true);
 
         // Corrupt and decode again: mismatch.
         let victim = sc.chains[1].cells[0];
@@ -680,7 +673,7 @@ mod tests {
         let lib = CellLibrary::st120nm();
         let mut sim = Simulator::new(&nl, &lib);
         quiesce_inputs(&mut sim, 8);
-        let pd = gate_chains(&mut sim, &sc);
+        sim.gate(sc.cells());
         sc.set_scan_enable(&mut sim, true);
         let l = sc.max_len();
         let state = vec![
@@ -691,10 +684,10 @@ mod tests {
         ];
         sc.load(&mut sim, &state);
         // Encode.
-        sim.set_clock_enable(pd, false);
+        sim.set_clock_enable(false);
         drive_ports(&mut sim, &mh, false, false, true);
         sim.step();
-        sim.set_clock_enable(pd, true);
+        sim.set_clock_enable(true);
         drive_ports(&mut sim, &mh, true, false, false);
         sim.step_n(l);
         assert_eq!(sc.snapshot(&sim), state, "encode is lossless");
@@ -703,10 +696,10 @@ mod tests {
         let victim = sc.chains[1].cells[0];
         let v = sim.ff_value(victim);
         sim.force_ff(victim, !v);
-        sim.set_clock_enable(pd, false);
+        sim.set_clock_enable(false);
         drive_ports(&mut sim, &mh, false, true, true);
         sim.step();
-        sim.set_clock_enable(pd, true);
+        sim.set_clock_enable(true);
         drive_ports(&mut sim, &mh, true, true, false);
         let mut seen = false;
         for _ in 0..l {

@@ -12,7 +12,7 @@ use crate::{MonOutputs, MonPhase, ProposedController, ProposedTiming, ProtectedD
 use scanguard_dft::{Lfsr, ScanChains};
 use scanguard_netlist::Logic;
 use scanguard_obs::{arg, ArgValue, Lane, PhaseLog, Recorder};
-use scanguard_sim::{DomainId, EnergyWindow, Simulator};
+use scanguard_sim::{EnergyWindow, Simulator};
 use std::sync::Arc;
 
 /// Result of one sleep/wake traversal.
@@ -75,7 +75,6 @@ pub struct ProtectedRuntime<'a> {
     design: &'a ProtectedDesign,
     sim: Simulator<'a>,
     ctrl: ProposedController,
-    domain: DomainId,
     sleep_cycles: u64,
     obs: Option<Arc<Recorder>>,
 }
@@ -86,11 +85,7 @@ impl<'a> ProtectedRuntime<'a> {
     #[must_use]
     pub fn new(design: &'a ProtectedDesign) -> Self {
         let mut sim = Simulator::new(&design.netlist, &design.library);
-        let domain = sim.define_domain("pgc");
-        let gated: Vec<_> = (0..design.gated_watermark)
-            .map(scanguard_netlist::CellId::from_index)
-            .collect();
-        sim.assign_domain_all(gated, domain);
+        sim.gate((0..design.gated_watermark).map(scanguard_netlist::CellId::from_index));
         // Quiesce every primary input.
         let ports: Vec<_> = design
             .netlist
@@ -111,7 +106,6 @@ impl<'a> ProtectedRuntime<'a> {
             design,
             sim,
             ctrl,
-            domain,
             sleep_cycles: 4,
             obs: None,
         };
@@ -210,9 +204,9 @@ impl<'a> ProtectedRuntime<'a> {
         if let Some(cap) = d.monitor.sig_cap {
             self.sim.set_net(cap, Logic::from(out.sig_cap));
         }
-        self.sim.set_retain(self.domain, out.retain);
-        self.sim.set_power(self.domain, out.power_on);
-        self.sim.set_clock_enable(self.domain, out.pgc_clock);
+        self.sim.set_retain(out.retain);
+        self.sim.set_power(out.power_on);
+        self.sim.set_clock_enable(out.pgc_clock);
     }
 
     /// Runs one full sleep/wake sequence. `upset` is invoked once, at the

@@ -119,18 +119,6 @@ impl ErrorPattern {
         }
     }
 
-    /// Draws a random burst of 2..=`max_span` chains.
-    pub fn random_burst(lfsr: &mut Lfsr, width: usize, len: usize, max_span: usize) -> Self {
-        let max_span = max_span.clamp(2, width);
-        let span = 2 + lfsr.next_below((max_span - 1) as u64) as usize;
-        let first_chain = lfsr.next_below((width - span + 1) as u64) as usize;
-        ErrorPattern::Burst {
-            first_chain,
-            span,
-            depth: lfsr.next_below(len as u64) as usize,
-        }
-    }
-
     /// The `(chain, depth)` positions this pattern flips.
     #[must_use]
     pub fn flip_positions(&self) -> Vec<(usize, usize)> {
@@ -246,10 +234,6 @@ mod tests {
             let p = ErrorPattern::random_single(&mut lfsr, 8, 13);
             let (c, d) = p.flip_positions()[0];
             assert!(c < 8 && d < 13);
-            let p = ErrorPattern::random_burst(&mut lfsr, 8, 13, 5);
-            for (c, d) in p.flip_positions() {
-                assert!(c < 8 && d < 13, "burst out of bounds: ({c},{d})");
-            }
         }
     }
 

@@ -105,9 +105,7 @@ fn scalar_pass(
     for n in quiesce(netlist) {
         sim.set_net(n, Logic::Zero);
     }
-    let pd = sim.define_domain("pgc");
-    let cells: Vec<_> = chains.cells().collect();
-    sim.assign_domain_all(cells, pd);
+    sim.gate(chains.cells());
     chains.set_scan_enable(&mut sim, true);
     chains.load(&mut sim, state);
 
@@ -121,15 +119,15 @@ fn scalar_pass(
     }
 
     // Encode: clear the sequencer (chains frozen), then l shifts.
-    sim.set_clock_enable(pd, false);
+    sim.set_clock_enable(false);
     drive(&mut sim, false, false, true);
     sim.step();
-    sim.set_clock_enable(pd, true);
+    sim.set_clock_enable(true);
     drive(&mut sim, true, false, false);
     sim.step_n(l);
 
     // CRC only: capture the signature with the chains frozen.
-    sim.set_clock_enable(pd, false);
+    sim.set_clock_enable(false);
     drive(&mut sim, false, false, false);
     if let Some(cap) = ports.sig_cap {
         sim.set_net(cap, Logic::One);
@@ -143,7 +141,7 @@ fn scalar_pass(
     let dh = cfg.decode_high;
     drive(&mut sim, false, dh, true);
     sim.step();
-    sim.set_clock_enable(pd, true);
+    sim.set_clock_enable(true);
     drive(&mut sim, true, dh, false);
     let mut detected = false;
     for _ in 0..l {
@@ -153,7 +151,7 @@ fn scalar_pass(
         }
         sim.step();
     }
-    sim.set_clock_enable(pd, false);
+    sim.set_clock_enable(false);
     drive(&mut sim, false, dh, false);
     sim.settle();
     if sim.value(ports.err) == Logic::One {

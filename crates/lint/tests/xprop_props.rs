@@ -96,8 +96,7 @@ proptest! {
         // Dynamic side: concrete known inputs and state, then collapse
         // the gated domain and settle.
         let mut sim = Simulator::new(&nl, &lib);
-        let dom = sim.define_domain("gated");
-        sim.assign_domain_all((0..watermark).map(CellId::from_index), dom);
+        sim.gate((0..watermark).map(CellId::from_index));
         for (i, (_, net)) in nl.input_ports().iter().enumerate() {
             sim.set_net(*net, Logic::from(port_bits >> (i % 64) & 1 == 1));
         }
@@ -109,7 +108,7 @@ proptest! {
             }
         }
         sim.settle();
-        sim.set_power(dom, false);
+        sim.set_power(false);
         sim.settle();
 
         // Conservativeness on every driven net: dynamic X ⇒ static X.

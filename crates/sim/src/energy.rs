@@ -43,16 +43,6 @@ impl EnergyWindow {
     pub fn energy_nj(&self) -> f64 {
         self.dynamic_pj / 1000.0
     }
-
-    /// Sums two windows.
-    #[must_use]
-    pub fn merged(&self, other: &EnergyWindow) -> EnergyWindow {
-        EnergyWindow {
-            dynamic_pj: self.dynamic_pj + other.dynamic_pj,
-            cycles: self.cycles + other.cycles,
-            toggles: self.toggles + other.toggles,
-        }
-    }
 }
 
 impl fmt::Display for EnergyWindow {
@@ -84,24 +74,6 @@ mod tests {
     #[test]
     fn empty_window_is_zero_power() {
         assert_eq!(EnergyWindow::default().power_mw(100.0), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let a = EnergyWindow {
-            dynamic_pj: 1.0,
-            cycles: 2,
-            toggles: 3,
-        };
-        let b = EnergyWindow {
-            dynamic_pj: 4.0,
-            cycles: 5,
-            toggles: 6,
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.dynamic_pj, 5.0);
-        assert_eq!(m.cycles, 7);
-        assert_eq!(m.toggles, 9);
     }
 
     #[test]

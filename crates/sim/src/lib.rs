@@ -11,9 +11,10 @@
 //! * zero-delay levelized evaluation of a validated
 //!   [`Netlist`](scanguard_netlist::Netlist), one [`step`](Simulator::step)
 //!   per clock cycle;
-//! * **power domains** ([`DomainId`]) with power gating semantics: a gated
-//!   domain's logic outputs X, its flip-flop masters lose state, and its
-//!   retention latches ride the always-on rail (paper Fig. 1);
+//! * **one power-gated domain** ([`gate`](Simulator::gate)) beside the
+//!   always-on rest: switched off, its logic outputs X, its flip-flop
+//!   masters lose state, and its retention latches ride the always-on
+//!   rail (paper Fig. 1);
 //! * **RETAIN control** with save-on-rise / restore-on-fall edges;
 //! * **activity-based energy accounting** ([`EnergyWindow`]): every
 //!   committed transition adds the library's per-toggle energy, every
@@ -26,7 +27,7 @@
 //! * [`Simulator`] — one machine, one [`Logic`](scanguard_netlist::Logic)
 //!   per net; a settle walks the topological order once and evaluates
 //!   only the cells with a changed input. It is the only engine with power
-//!   domains, RETAIN sequencing and the energy accounting that
+//!   gating, RETAIN sequencing and the energy accounting that
 //!   `measure_cost` reads.
 //! * [`WideSimulator`] — a compiled word-block program: 64 machines per
 //!   word, a block of words per net, every compiled cell evaluated once
@@ -74,14 +75,12 @@
 #![allow(clippy::needless_range_loop)]
 
 mod cone;
-mod domain;
 mod energy;
 mod simulator;
 mod tables;
 mod wide;
 
 pub use cone::LiveCone;
-pub use domain::{Domain, DomainId};
 pub use energy::EnergyWindow;
 pub use simulator::Simulator;
 pub use wide::WideSimulator;

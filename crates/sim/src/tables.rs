@@ -33,8 +33,6 @@ pub(crate) struct SimTables {
     pub c_in_off: Vec<u32>,
     /// Flattened combinational input net indices.
     pub c_ins: Vec<u32>,
-    /// Original cell indices (for domain lookups).
-    pub c_cell: Vec<u32>,
     /// Per-cell toggle energy, pJ.
     pub c_toggle_pj: Vec<f64>,
     /// Sequential cell kinds, cell-id order.
@@ -45,7 +43,7 @@ pub(crate) struct SimTables {
     pub s_in_off: Vec<u32>,
     /// Flattened sequential input net indices.
     pub s_ins: Vec<u32>,
-    /// Original cell indices (domain lookups, retention/staging slots).
+    /// Original cell indices (retention/staging slots).
     pub s_cell: Vec<u32>,
     /// Per-flop toggle energy, pJ.
     pub s_toggle_pj: Vec<f64>,
@@ -71,7 +69,6 @@ impl SimTables {
             c_out: Vec::with_capacity(n_comb),
             c_in_off: Vec::with_capacity(n_comb + 1),
             c_ins: Vec::new(),
-            c_cell: Vec::with_capacity(n_comb),
             c_toggle_pj: Vec::with_capacity(n_comb),
             s_kind: Vec::new(),
             s_out: Vec::new(),
@@ -88,8 +85,6 @@ impl SimTables {
             t.c_kind.push(cell.kind());
             t.c_out
                 .push(u32::try_from(cell.output().index()).expect("net index fits u32"));
-            t.c_cell
-                .push(u32::try_from(cell_id.index()).expect("cell index fits u32"));
             t.c_toggle_pj.push(params.toggle_energy_pj);
             for &inp in cell.inputs() {
                 t.c_ins

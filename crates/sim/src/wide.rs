@@ -303,12 +303,6 @@ impl<'a> WideSimulator<'a> {
         }
     }
 
-    /// Removes all stuck-at forces from every lane. Combinational nets
-    /// revert at the next settle, flop outputs at the next clock edge.
-    pub fn clear_stuck(&mut self) {
-        self.stuck.clear();
-    }
-
     /// Broadcasts one level to every lane of a primary input net.
     ///
     /// # Panics
@@ -840,24 +834,6 @@ mod tests {
             }
             assert!(words_differ, "{}: the words never diverged", nl.name());
         }
-    }
-
-    #[test]
-    fn clear_stuck_restores_driver_values() {
-        let (nl, ffs) = mixed();
-        let q0 = nl.cell(ffs[0]).output();
-        let mut wide = WideSimulator::new(&nl);
-        for name in ["d0", "d1", "si"] {
-            wide.set_net(nl.port(name).unwrap(), Logic::One);
-        }
-        wide.set_net(nl.port("se").unwrap(), Logic::Zero);
-        wide.set_stuck_lane(q0, 5, Logic::Zero);
-        wide.step();
-        assert_eq!(wide.value(q0).lane(5), Logic::Zero);
-        assert_eq!(wide.value(q0).lane(0), Logic::One);
-        wide.clear_stuck();
-        wide.step();
-        assert_eq!(wide.value(q0).lane(5), Logic::One, "lane healed");
     }
 
     #[test]

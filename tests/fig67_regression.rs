@@ -91,8 +91,7 @@ fn sg204_clean_design_is_dynamically_x_free_while_mon_en_low() {
     // design for several chain lengths — the parity store, signature
     // and sequencer flops must never capture X.
     let mut sim = Simulator::new(&design.netlist, &design.library);
-    let dom = sim.define_domain("pgc");
-    sim.assign_domain_all((0..design.gated_watermark).map(CellId::from_index), dom);
+    sim.gate((0..design.gated_watermark).map(CellId::from_index));
     for (_, net) in design.netlist.input_ports() {
         sim.set_net(*net, Logic::Zero);
     }
@@ -106,7 +105,7 @@ fn sg204_clean_design_is_dynamically_x_free_while_mon_en_low() {
         sim.force_ff(id, Logic::Zero);
     }
     sim.settle();
-    sim.set_power(dom, false);
+    sim.set_power(false);
     sim.settle();
     assert!(
         seq.iter()
