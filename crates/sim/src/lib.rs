@@ -25,10 +25,14 @@
 //! # Two engines
 //!
 //! * [`Simulator`] — one machine, one [`Logic`](scanguard_netlist::Logic)
-//!   per net; a settle walks the topological order once and evaluates
-//!   only the cells with a changed input. It is the only engine with power
-//!   gating, RETAIN sequencing and the energy accounting that
-//!   `measure_cost` reads.
+//!   per net; a settle evaluates, in topological order, only the cells
+//!   with a changed input: a changed net sets its loads' bits in a
+//!   pending bitset over positions, and the settle takes the set bits
+//!   lowest first, so it costs bitset words plus evaluations. Each
+//!   evaluation is one lookup in a per-kind truth table built from
+//!   [`GateKind::eval`](scanguard_netlist::GateKind::eval). It is the
+//!   only engine with power gating, RETAIN sequencing and the energy
+//!   accounting that `measure_cost` reads.
 //! * [`WideSimulator`] — a compiled word-block program: 64 machines per
 //!   word, a block of words per net, every compiled cell evaluated once
 //!   per settle. PPSFP fault simulation and the SG205/SG206 upset sweep

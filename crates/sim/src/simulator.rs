@@ -45,28 +45,31 @@ pub struct Simulator<'a> {
     retention: Vec<Logic>,
     /// Staging buffer for flip-flop capture.
     next_ff: Vec<Logic>,
-    /// Scratch buffer for gathering cell inputs, sized to the netlist's
-    /// widest fan-in so no gate can silently lose inputs (or panic with
-    /// an opaque slice error) during evaluation.
-    ibuf: Vec<Logic>,
-    /// Per-net change flags driving the incremental settle: a
-    /// combinational cell is only re-evaluated when one of its input
-    /// nets changed since the last settle. Cleared wholesale at the end
-    /// of each pass (every flag set before or during a pass has been
-    /// consumed by then — loads sit later in topological order than
-    /// their drivers).
-    dirty: Vec<bool>,
-    /// Whether any net is flagged in `dirty`: a settle with nothing
-    /// flagged (and no `all_dirty`) returns without scanning.
-    changed: bool,
+    /// Pending bitset over combinational positions, one `u64` per 64
+    /// positions: a position's bit is set when one of its input nets
+    /// changed since it was last evaluated, through the load CSR of
+    /// [`SimTables`]. A sparse settle evaluates the set bits lowest
+    /// first; loads sit later in topological order than their drivers,
+    /// so that is exactly the topological walk over the cells with a
+    /// changed input, and it leaves the bitset empty.
+    pending: Vec<u64>,
+    /// Lowest word of `pending` that may hold a set bit;
+    /// `pending.len()` when none does, so a settle with nothing pending
+    /// returns without scanning.
+    pending_lo: usize,
     /// Escape hatch for events that change cell outputs without touching
     /// any input net (the gated domain's power flips): forces the next
     /// settle to evaluate everything.
     all_dirty: bool,
-    /// Flattened struct-of-arrays cell metadata (kinds, output nets,
-    /// CSR input lists, energy figures) — everything the settle,
-    /// capture and commit loops read, laid out contiguously so the hot
-    /// path never chases `Netlist` cell pointers.
+    /// Test hook: every settle makes the full pass, the reference the
+    /// sparse settle is held to.
+    #[cfg(test)]
+    full_settle: bool,
+    /// Flattened struct-of-arrays cell metadata (padded input pins,
+    /// truth-table bases, output nets, load CSR, energy figures) —
+    /// everything the settle, capture and commit loops read, laid out
+    /// contiguously so the hot path never chases `Netlist` cell
+    /// pointers.
     tables: SimTables,
     /// Per combinational position: the cell sits in the gated domain.
     c_gated: Vec<bool>,
@@ -117,15 +120,17 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn new(netlist: &'a Netlist, lib: &'a CellLibrary) -> Self {
         let tables = SimTables::new(netlist, lib); // asserts validated
+        let words = tables.comb_len().div_ceil(64);
         Simulator {
             netlist,
             values: vec![Logic::X; netlist.net_count()],
             retention: vec![Logic::X; netlist.cell_count()],
             next_ff: vec![Logic::X; netlist.cell_count()],
-            ibuf: vec![Logic::X; tables.max_fanin],
-            dirty: vec![false; netlist.net_count()],
-            changed: false,
+            pending: vec![0; words],
+            pending_lo: words,
             all_dirty: true,
+            #[cfg(test)]
+            full_settle: false,
             c_gated: vec![false; tables.comb_len()],
             s_gated: vec![false; tables.seq_len()],
             tables,
@@ -278,14 +283,25 @@ impl<'a> Simulator<'a> {
         self.write_net(net, value);
     }
 
-    /// Writes a net value, flagging it for the incremental settle when
-    /// it actually changed.
+    /// Writes a net value, marking its loads for the incremental settle
+    /// when it actually changed.
     fn write_net(&mut self, net: NetId, value: Logic) {
         let i = net.index();
         if self.values[i] != value {
             self.values[i] = value;
-            self.dirty[i] = true;
-            self.changed = true;
+            self.mark_loads(i);
+        }
+    }
+
+    /// Sets the pending bits of the combinational cells that read `net`.
+    #[inline]
+    fn mark_loads(&mut self, net: usize) {
+        let loads = self.tables.loads(net);
+        if let Some(&first) = loads.first() {
+            self.pending_lo = self.pending_lo.min(first as usize / 64);
+        }
+        for &pos in loads {
+            self.pending[pos as usize / 64] |= 1 << (pos % 64);
         }
     }
 
@@ -370,70 +386,60 @@ impl<'a> Simulator<'a> {
     /// register values, accumulating switching energy for every net that
     /// changes.
     ///
-    /// The pass is incremental: it walks the topological order and
-    /// evaluates a cell only when one of its input nets changed since
-    /// the last settle (every evaluation is a pure function of the
-    /// inputs, so an unchanged cone cannot produce a new output). Power
-    /// switching invalidates outputs without touching inputs, so it
-    /// forces one full pass.
+    /// The pass is incremental: it evaluates, in topological order, only
+    /// the cells with an input net that changed since the last settle
+    /// (every evaluation is a pure function of the inputs, so an
+    /// unchanged cone cannot produce a new output). Power switching
+    /// invalidates outputs without touching inputs, so it forces one
+    /// full pass.
     pub fn settle(&mut self) {
         if let Some(o) = &self.obs {
             o.settles.inc();
         }
-        let all = self.all_dirty;
-        if !all && !self.changed {
-            return;
-        }
+        #[cfg(test)]
+        let full = self.all_dirty || self.full_settle;
+        #[cfg(not(test))]
+        let full = self.all_dirty;
         let mut evals = 0u64;
-        for pos in 0..self.tables.comb_len() {
-            if !all {
-                let mut any = false;
-                for src in self.tables.c_inputs(pos) {
-                    if self.dirty[self.tables.c_ins[src] as usize] {
-                        any = true;
-                        break;
-                    }
-                }
-                if !any {
-                    continue;
-                }
+        if full {
+            for pos in 0..self.tables.comb_len() {
+                self.eval_pos(pos);
             }
-            evals += 1;
-            if let Some(out) = self.eval_pos(pos) {
-                self.dirty[out] = true;
+            evals = self.tables.comb_len() as u64;
+            self.pending.fill(0);
+            self.all_dirty = false;
+        } else {
+            for w in self.pending_lo..self.pending.len() {
+                // Re-read the word after each evaluation: it may have
+                // set the bits of later positions in the same word.
+                let mut bits = self.pending[w];
+                while bits != 0 {
+                    self.pending[w] = bits & (bits - 1);
+                    self.eval_pos(w * 64 + bits.trailing_zeros() as usize);
+                    evals += 1;
+                    bits = self.pending[w];
+                }
             }
         }
+        self.pending_lo = self.pending.len();
         if let Some(o) = &self.obs {
             o.cell_evals.add(evals);
         }
-        // Every flag set before or during this pass has been consumed
-        // (loads follow drivers in topological order).
-        self.dirty.fill(false);
-        self.changed = false;
-        self.all_dirty = false;
     }
 
-    /// Evaluates one combinational cell by its topological position;
-    /// returns the cell's output net index when the output changed. All
-    /// metadata comes from the struct-of-arrays tables — no `Netlist`
-    /// access on this path.
+    /// Evaluates one combinational cell by its topological position with
+    /// one truth-table lookup, and marks its loads when its output
+    /// changed. All metadata comes from the struct-of-arrays tables — no
+    /// `Netlist` access on this path.
     #[inline]
-    fn eval_pos(&mut self, pos: usize) -> Option<usize> {
-        let ins = self.tables.c_inputs(pos);
-        let n = ins.len();
-        debug_assert!(
-            n <= self.ibuf.len(),
-            "cell at position {pos} fan-in {n} exceeds the sized input buffer"
-        );
-        for (k, src) in ins.enumerate() {
-            self.ibuf[k] = self.values[self.tables.c_ins[src] as usize];
-        }
+    fn eval_pos(&mut self, pos: usize) {
+        let t = &self.tables;
         let mut new = if self.powered || !self.c_gated[pos] {
-            self.tables.c_kind[pos].eval(&self.ibuf[..n])
+            t.eval(t.c_base[pos], t.c_pins[pos], &self.values)
         } else {
             Logic::X
         };
-        let out = self.tables.c_out[pos] as usize;
+        let out = t.c_out[pos] as usize;
         if !self.stuck.is_empty() {
             if let Some(level) = self.stuck_level(NetId::from_index(out)) {
                 new = level;
@@ -441,14 +447,14 @@ impl<'a> Simulator<'a> {
         }
         let old = self.values[out];
         if old == new {
-            return None;
+            return;
         }
         if old.is_known() && new.is_known() {
             self.toggles += 1;
             self.dynamic_pj += self.tables.c_toggle_pj[pos];
         }
         self.values[out] = new;
-        Some(out)
+        self.mark_loads(out);
     }
 
     /// Advances one clock cycle: settle, capture, commit, settle.
@@ -464,16 +470,8 @@ impl<'a> Simulator<'a> {
                 // Clock gated: hold.
                 self.values[self.tables.s_out[s] as usize]
             } else {
-                let ins = self.tables.s_inputs(s);
-                let n = ins.len();
-                debug_assert!(
-                    n <= self.ibuf.len(),
-                    "sequential cell {s} fan-in {n} exceeds the sized input buffer"
-                );
-                for (k, src) in ins.enumerate() {
-                    self.ibuf[k] = self.values[self.tables.s_ins[src] as usize];
-                }
-                self.tables.s_kind[s].eval(&self.ibuf[..n])
+                let t = &self.tables;
+                t.eval(t.s_base[s], t.s_pins[s], &self.values)
             };
             self.next_ff[idx] = next;
         }
@@ -497,8 +495,7 @@ impl<'a> Simulator<'a> {
                     self.dynamic_pj += self.tables.s_toggle_pj[s];
                 }
                 self.values[out] = new;
-                self.dirty[out] = true;
-                self.changed = true;
+                self.mark_loads(out);
             }
         }
         self.cycles += 1;
@@ -544,6 +541,8 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use scanguard_netlist::{GateKind, NetlistBuilder};
 
     fn lib() -> CellLibrary {
@@ -902,5 +901,125 @@ mod tests {
         sim.settle();
         let w = sim.take_energy();
         assert_eq!(w.toggles, 0, "re-settling without change is free");
+    }
+
+    /// A seeded random design: an 8-flop scan chain whose first four
+    /// retention scan flops sit in the gated domain, fed by 60 random
+    /// cells of every combinational kind, a random third of them gated
+    /// too. Returns the netlist and the gated cells.
+    fn random_scan_design(seed: u64) -> (Netlist, Vec<CellId>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new("scan_diff");
+        let se = b.input("se");
+        let mut si = b.input("si");
+        let mut pool: Vec<NetId> = (0..4).map(|i| b.input(&format!("d{i}"))).collect();
+        pool.push(se);
+        let mut ds = Vec::new();
+        let mut gated = Vec::new();
+        for i in 0..8 {
+            let d = b.net(&format!("n{i}"));
+            let q = if i < 4 {
+                let (q, ff) = b.rsdff(&format!("r{i}"), d, si, se);
+                gated.push(ff);
+                q
+            } else {
+                b.sdff(&format!("s{i}"), d, si, se).0
+            };
+            ds.push(d);
+            pool.push(q);
+            si = q;
+        }
+        b.output("so", si);
+        let kinds: Vec<GateKind> = GateKind::ALL
+            .into_iter()
+            .filter(|k| !k.is_sequential())
+            .collect();
+        for _ in 0..60 {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            let ins = (0..kind.input_count())
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let out = b.cell(kind, ins);
+            pool.push(out);
+        }
+        for d in ds {
+            let src = pool[rng.gen_range(0..pool.len())];
+            b.connect(d, src);
+        }
+        b.output("y", pool[pool.len() - 1]);
+        let nl = b.finish().unwrap();
+        for (id, cell) in nl.cells() {
+            if !cell.kind().is_sequential() && rng.gen_range(0..3) == 0 {
+                gated.push(id);
+            }
+        }
+        (nl, gated)
+    }
+
+    #[test]
+    fn sparse_settle_matches_a_full_pass_every_cycle() {
+        let l = lib();
+        for seed in 0..8 {
+            let (nl, gated) = random_scan_design(seed);
+            let mut sparse = Simulator::new(&nl, &l);
+            let mut full = Simulator::new(&nl, &l);
+            full.full_settle = true;
+            sparse.gate(gated.iter().copied());
+            full.gate(gated.iter().copied());
+            let ports = ["se", "si", "d0", "d1", "d2", "d3"];
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+            for cycle in 0..300 {
+                // Both simulators replay the same stimulus stream.
+                let draw: u64 = rng.gen();
+                for sim in [&mut sparse, &mut full] {
+                    let mut r = SmallRng::seed_from_u64(draw);
+                    for port in ports {
+                        if r.gen_range(0..3) == 0 {
+                            let level = Logic::ALL[r.gen_range(0..3)];
+                            sim.set_port(port, level).unwrap();
+                        }
+                    }
+                    match r.gen_range(0..40) {
+                        // Sleep: save, then switch off.
+                        0 => {
+                            sim.set_retain(true);
+                            sim.set_power(false);
+                        }
+                        // Wake: switch on, then restore.
+                        1 => {
+                            sim.set_power(true);
+                            sim.set_retain(false);
+                        }
+                        2 => sim.set_clock_enable(!sim.clock_en),
+                        3 => {
+                            let ff = gated[r.gen_range(0..4)];
+                            sim.flip_retention(ff);
+                        }
+                        4 if cycle > 150 => {
+                            let net = NetId::from_index(r.gen_range(0..nl.net_count()));
+                            sim.set_stuck(net, Logic::ALL[r.gen_range(0..2)]);
+                        }
+                        _ => {}
+                    }
+                    if r.gen_range(0..4) == 0 {
+                        sim.settle();
+                    }
+                    sim.step();
+                }
+                assert_eq!(
+                    sparse.values, full.values,
+                    "seed {seed} cycle {cycle}: values"
+                );
+                assert_eq!(
+                    sparse.toggles, full.toggles,
+                    "seed {seed} cycle {cycle}: toggles"
+                );
+                assert_eq!(
+                    sparse.dynamic_pj.to_bits(),
+                    full.dynamic_pj.to_bits(),
+                    "seed {seed} cycle {cycle}: energy"
+                );
+            }
+        }
     }
 }
