@@ -54,7 +54,7 @@ use scanguard_core::{
 use scanguard_lint::{RuleSet, Severity};
 use scanguard_obs::{arg, Lane, Recorder};
 use scanguard_par::CancelToken;
-use scanguard_power::PowerNetwork;
+use scanguard_power::{PowerNetwork, WakeEvent, WakeStrategy};
 use std::collections::HashMap;
 
 /// What one synthesis run contributes to every wake variant of a
@@ -326,9 +326,9 @@ fn load_or_build(
     built
 }
 
-/// One point's outcome given its build: this wake strategy's transient
-/// and Monte-Carlo recovery run on top of the build's metrics, or the
-/// build gate's rejection as a pruned point.
+/// One point's outcome given its build and its wake strategy's `event`:
+/// the Monte-Carlo recovery runs on top of the build's metrics, or the
+/// build gate's rejection comes back as a pruned point.
 ///
 /// The recovery outcome comes from [`sample_wake_upsets`], the sampler
 /// behind the harness's rush ablation too: upsets cluster along the
@@ -338,6 +338,7 @@ fn load_or_build(
 fn point_outcome(
     point: &ExplorePoint,
     build: &Result<BuildMetrics, BuildRejection>,
+    event: &WakeEvent,
     trials: u64,
     test_width: Option<usize>,
 ) -> Result<PointOutcome, String> {
@@ -357,9 +358,6 @@ fn point_outcome(
         }
     };
     let chain_len = metrics.row.chain_len;
-
-    let network = PowerNetwork::default_120nm();
-    let event = point.wake.wake(&network);
     // Decode runs after the rail settles: chain_len shift cycles plus
     // the clear/capture bookkeeping pair.
     let wake_cycles = event.wake_cycles(metrics.clock_mhz) + chain_len as u64 + 2;
@@ -407,8 +405,9 @@ fn point_outcome(
 
 /// Evaluates one point against a shared [`SynthCache`]: the build from
 /// the cache (on a miss, from `store` or a fresh [`build_metrics`],
-/// written through), then this wake strategy's outcome. A point the
-/// build gate rejects comes back as [`PointOutcome::Pruned`].
+/// written through), then the outcome of this wake strategy's transient,
+/// solved for this point alone. A point the build gate rejects comes
+/// back as [`PointOutcome::Pruned`].
 ///
 /// [`explore_env`] does not use this: it runs one pool task per build.
 /// This form serves only the benchmark's serial replay of the explore
@@ -430,7 +429,8 @@ pub fn evaluate_point(
     let build = cache
         .try_get_or_build(key.clone(), || load_or_build(point, &key, store))
         .map_err(|p| format!("{}: {p}", point.key()))?;
-    point_outcome(point, &build, trials, test_width)
+    let event = point.wake.wake(&PowerNetwork::default_120nm());
+    point_outcome(point, &build, &event, trials, test_width)
 }
 
 /// Explores the whole space on `threads` workers.
@@ -456,9 +456,10 @@ pub fn explore(spec: &SpaceSpec, threads: usize) -> Result<SpaceReport, String> 
 /// each build is loaded from or written through to, a [`CancelToken`]
 /// that aborts the run between builds, and observability.
 ///
-/// The points are grouped by [`BuildKey`] in first-appearance order,
-/// and the pool runs one task per group: it loads or synthesizes the
-/// build once, then evaluates that build's wake points. Outcomes go
+/// Each wake strategy's transient is solved once, before the pool
+/// runs. The points are grouped by [`BuildKey`] in first-appearance
+/// order, and the pool runs one task per group: it loads or synthesizes
+/// the build once, then evaluates that build's wake points. Outcomes go
 /// back in point-id order, and the report's `cache` counts one miss
 /// per build and a hit for every other point.
 ///
@@ -482,6 +483,21 @@ pub fn explore_env(spec: &SpaceSpec, env: &ExploreEnv) -> Result<SpaceReport, Ex
     let points = spec.enumerate();
     let ff_count = spec.design.ff_count();
     let obs = env.obs;
+    // A point reads its wake's bounce and time, never the sampled
+    // waveforms: holding those (2,001 samples per step) for the whole
+    // run raised the daemon's peak RSS by ~0.2 MB.
+    let network = PowerNetwork::default_120nm();
+    let events: Vec<(WakeStrategy, WakeEvent)> = spec
+        .wakes
+        .iter()
+        .map(|&wake| {
+            let event = WakeEvent {
+                steps: Vec::new(),
+                ..wake.wake(&network)
+            };
+            (wake, event)
+        })
+        .collect();
     let mut groups: Vec<(BuildKey, Vec<usize>)> = Vec::new();
     let mut group_of: HashMap<BuildKey, usize> = HashMap::new();
     for (i, point) in points.iter().enumerate() {
@@ -510,8 +526,14 @@ pub fn explore_env(spec: &SpaceSpec, env: &ExploreEnv) -> Result<SpaceReport, Ex
                     if let Some(rec) = obs {
                         rec.begin(lane, "point", point.id as u64);
                     }
+                    let (_, event) = events
+                        .iter()
+                        .find(|(wake, _)| *wake == point.wake)
+                        .expect("a point's wake is one of the space's");
                     let result = match &build {
-                        Ok(build) => point_outcome(point, build, spec.trials, spec.test_width),
+                        Ok(build) => {
+                            point_outcome(point, build, event, spec.trials, spec.test_width)
+                        }
                         Err(p) => Err(format!("{}: {p}", point.key())),
                     };
                     if let Some(rec) = obs {
@@ -589,7 +611,7 @@ mod tests {
             .block_code()
             .unwrap()
             .map(SequenceCodec::new);
-        let bounce = scanguard_power::WakeStrategy::FullBank
+        let bounce = WakeStrategy::FullBank
             .wake(&PowerNetwork::default_120nm())
             .peak_bounce_v;
         let seed = seed_of("fifo32x32/W80/Hamming(7,4)/full-bank");

@@ -47,5 +47,5 @@ mod upset;
 mod wake;
 
 pub use rush::{PowerNetwork, RushTransient, Sample};
-pub use upset::UpsetModel;
+pub use upset::{UpsetModel, UpsetSampler};
 pub use wake::{WakeEvent, WakeStrategy};

@@ -18,20 +18,31 @@
 //! above [`MIN_U1`], so no margin falls below the floor
 //! `μ − σ·√(−2 ln MIN_U1)` (0.18 − 0.02·7.43 ≈ 0.031 V for the 120 nm
 //! latch). A latch whose local bounce cannot reach that floor can never
-//! flip, so [`UpsetModel::upsets`] evaluates only the window of latches
+//! flip, so an [`UpsetSampler`] evaluates only the window of latches
 //! around the epicentre where it can, and skips the others' draws.
+//! Within the window the same bound, taken per draw, skips every latch
+//! whose first uniform is too large for any second uniform to bring its
+//! margin under the local bounce: only the rest pay for `ln`, `sqrt`
+//! and `cos`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::ops::Range;
 
 /// Smallest first uniform of the Box-Muller margin draw: it keeps the
 /// `ln` finite and bounds every drawn margin from below.
 const MIN_U1: f64 = 1e-12;
 
-/// Relative slack taken off the margin floor, so floating-point
-/// rounding in the floor, the draw or the window can only widen the
-/// window, never drop a latch that could flip.
+/// Relative slack taken off the margin floor and off each skip
+/// threshold's gap, so floating-point rounding in the floor, the
+/// thresholds or the draw can only widen the window or send a latch to
+/// the exact comparison, never drop a latch that could flip.
 const FLOOR_SLACK: f64 = 1e-9;
+
+/// Absolute slack added to a skip threshold on the first uniform, a
+/// few units of rounding of the `exp` it comes from, so a threshold
+/// that rounded down cannot skip a latch the exact draw would flip.
+const U1_SLACK: f64 = 4.0 * f64::EPSILON;
 
 /// Parameters of the upset model.
 ///
@@ -81,40 +92,48 @@ impl UpsetModel {
     /// per-latch margin variation; the same seed reproduces the same
     /// event.
     ///
-    /// Each latch takes two draws in index order. Only latches within
-    /// `λ·ln(bounce/floor)` (plus one) of the epicentre are evaluated,
-    /// where `floor` is the lowest margin any draw can give; the draws
-    /// of the latches before that window are skipped unevaluated, so the
-    /// flips are exactly those of evaluating every latch. A bounce at or
-    /// below the floor flips nothing and draws nothing past the
-    /// epicentre.
+    /// This is `self.sampler(peak_bounce_v, latches).upsets(seed)`: a
+    /// caller drawing many events of one bounce builds the
+    /// [`UpsetSampler`] once instead.
     #[must_use]
     pub fn upsets(&self, peak_bounce_v: f64, latches: usize, seed: u64) -> Vec<usize> {
-        if latches == 0 || peak_bounce_v.is_nan() || peak_bounce_v <= 0.0 {
-            return Vec::new();
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let epicentre = rng.gen_range(0..latches);
-        let lambda = (self.decay_lambda * latches as f64).max(1.0);
-        let Some((lo, hi)) = self.window(peak_bounce_v, lambda, latches, epicentre) else {
-            return Vec::new();
+        self.sampler(peak_bounce_v, latches).upsets(seed)
+    }
+
+    /// Tabulates, per distance from the epicentre, what every event of
+    /// a `peak_bounce_v` bounce on `latches` latches needs: the local
+    /// bounce and the first uniform at and above which no margin draw
+    /// can flip the latch. Only distances within `λ·ln(bounce/floor)`
+    /// (plus one) are kept, where `floor` is the lowest margin any draw
+    /// can give; a bounce at or below the floor (or not positive) keeps
+    /// none.
+    #[must_use]
+    pub fn sampler(&self, peak_bounce_v: f64, latches: usize) -> UpsetSampler {
+        let mut sampler = UpsetSampler {
+            model: *self,
+            latches,
+            local: Vec::new(),
+            skip_u1: Vec::new(),
         };
-        for _ in 0..2 * lo {
-            rng.next_u64();
+        if latches == 0 || peak_bounce_v.is_nan() || peak_bounce_v <= 0.0 {
+            return sampler;
         }
-        let mut flips = Vec::new();
-        for i in lo..hi {
-            let d = (i as isize - epicentre as isize).unsigned_abs() as f64;
-            let local = peak_bounce_v * (-d / lambda).exp();
-            // Gaussian margin via Box-Muller on two uniforms.
-            let (u1, u2): (f64, f64) = (rng.gen_range(MIN_U1..1.0), rng.gen());
-            let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let margin = self.noise_margin_v + self.margin_sigma_v * gauss;
-            if local > margin {
-                flips.push(i);
-            }
+        let lambda = (self.decay_lambda * latches as f64).max(1.0);
+        let Some(reach) = self.reach(peak_bounce_v, lambda, latches) else {
+            return sampler;
+        };
+        for d in 0..=reach.min(latches - 1) {
+            let local = peak_bounce_v * (-(d as f64) / lambda).exp();
+            sampler.local.push(local);
+            sampler.skip_u1.push(self.skip_u1(local));
         }
-        flips
+        sampler
+    }
+
+    /// A latch's margin from its two uniforms: a Gaussian by Box-Muller.
+    fn margin(&self, u1: f64, u2: f64) -> f64 {
+        let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        self.noise_margin_v + self.margin_sigma_v * gauss
     }
 
     /// The lowest margin any draw can give, less [`FLOOR_SLACK`] of the
@@ -124,20 +143,14 @@ impl UpsetModel {
         self.noise_margin_v - tail - FLOOR_SLACK * (self.noise_margin_v.abs() + tail)
     }
 
-    /// The latches `[lo, hi)` whose local bounce can exceed
-    /// [`margin_floor`](Self::margin_floor), or `None` when none can.
-    /// A floor at or below zero (or NaN) bounds nothing, so the window
-    /// is then the whole array.
-    fn window(
-        &self,
-        peak_bounce_v: f64,
-        lambda: f64,
-        latches: usize,
-        epicentre: usize,
-    ) -> Option<(usize, usize)> {
+    /// How far from the epicentre a latch's local bounce can exceed
+    /// [`margin_floor`](Self::margin_floor), or `None` when no latch's
+    /// can. A floor at or below zero (or NaN) bounds nothing, so the
+    /// reach is then the whole array.
+    fn reach(&self, peak_bounce_v: f64, lambda: f64, latches: usize) -> Option<usize> {
         let floor = self.margin_floor();
         if floor.is_nan() || floor <= 0.0 {
-            return Some((0, latches));
+            return Some(latches);
         }
         if peak_bounce_v <= floor {
             return None;
@@ -146,15 +159,100 @@ impl UpsetModel {
         // floor; one latch more absorbs rounding. A NaN or infinite
         // reach (infinite bounce or λ) saturates to the whole array.
         let reach = lambda * (peak_bounce_v / floor).ln();
-        let reach = if reach < latches as f64 {
+        Some(if reach < latches as f64 {
             reach as usize + 1
         } else {
             latches
-        };
-        Some((
-            epicentre.saturating_sub(reach),
-            (epicentre + reach + 1).min(latches),
-        ))
+        })
+    }
+
+    /// The first uniform at and above which a latch under `local` bounce
+    /// cannot flip. Since `cos ≥ −1`, a draw's margin is at least
+    /// `μ − |σ|·√(−2 ln u1)`, which stays above `local` while
+    /// `u1 ≥ exp(−a²/2)` with `a = (μ − local)/|σ|`. The gap `μ − local`
+    /// loses [`FLOOR_SLACK`] of its terms and the threshold gains
+    /// [`U1_SLACK`], so rounding in the threshold or the draw can only
+    /// send a latch to the exact comparison. With no positive gap every
+    /// draw is compared.
+    fn skip_u1(&self, local: f64) -> f64 {
+        let mu = self.noise_margin_v;
+        let gap = mu - local - FLOOR_SLACK * (mu.abs() + local.abs());
+        let a = gap / self.margin_sigma_v.abs();
+        if a > 0.0 {
+            (-0.5 * a * a).exp() + U1_SLACK
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// An [`UpsetModel`] fixed to one peak bounce and array length: the
+/// per-distance tables every event of that wake shares.
+///
+/// # Examples
+///
+/// ```
+/// use scanguard_power::UpsetModel;
+///
+/// let model = UpsetModel::default_120nm();
+/// let sampler = model.sampler(0.9, 1040);
+/// for seed in 0..4 {
+///     assert_eq!(sampler.upsets(seed), model.upsets(0.9, 1040, seed));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct UpsetSampler {
+    model: UpsetModel,
+    latches: usize,
+    /// Local bounce at each distance from the epicentre, V.
+    local: Vec<f64>,
+    /// First uniform at and above which the latch at each distance
+    /// cannot flip.
+    skip_u1: Vec<f64>,
+}
+
+impl UpsetSampler {
+    /// The latches around `epicentre` that the tables cover; empty when
+    /// no latch can flip.
+    fn window(&self, epicentre: usize) -> Range<usize> {
+        match self.local.len() {
+            0 => epicentre..epicentre,
+            n => epicentre.saturating_sub(n - 1)..(epicentre + n).min(self.latches),
+        }
+    }
+
+    /// The latch indices that flip in the wake event drawn from `seed`.
+    ///
+    /// Each latch takes two uniform draws in index order. Latches before
+    /// the window are skipped unevaluated, and a latch whose first
+    /// uniform reaches its distance's threshold is not evaluated either;
+    /// the others run the Box-Muller margin draw and flip when their
+    /// local bounce exceeds it. The flips are exactly those of
+    /// evaluating every latch, and nothing is drawn when no latch can
+    /// flip.
+    #[must_use]
+    pub fn upsets(&self, seed: u64) -> Vec<usize> {
+        if self.local.is_empty() {
+            return Vec::new();
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let epicentre = rng.gen_range(0..self.latches);
+        let window = self.window(epicentre);
+        for _ in 0..2 * window.start {
+            rng.next_u64();
+        }
+        let mut flips = Vec::new();
+        for i in window {
+            let d = i.abs_diff(epicentre);
+            let (u1, u2): (f64, f64) = (rng.gen_range(MIN_U1..1.0), rng.gen());
+            if u1 >= self.skip_u1[d] {
+                continue;
+            }
+            if self.local[d] > self.model.margin(u1, u2) {
+                flips.push(i);
+            }
+        }
+        flips
     }
 }
 
@@ -170,7 +268,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// The straight loop `upsets` replaces: every latch drawn and
-    /// evaluated, no window. The windowed model must match it exactly.
+    /// evaluated, no window and no skip threshold. The sampler must
+    /// match it exactly.
     fn upsets_reference(
         m: &UpsetModel,
         peak_bounce_v: f64,
@@ -188,9 +287,7 @@ mod tests {
             let d = (i as isize - epicentre as isize).unsigned_abs() as f64;
             let local = peak_bounce_v * (-d / lambda).exp();
             let (u1, u2): (f64, f64) = (rng.gen_range(MIN_U1..1.0), rng.gen());
-            let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let margin = m.noise_margin_v + m.margin_sigma_v * gauss;
-            if local > margin {
+            if local > m.margin(u1, u2) {
                 flips.push(i);
             }
         }
@@ -225,8 +322,10 @@ mod tests {
         ]
     }
 
-    /// Bounces in [-0.1, 3] V plus the edge values: zero, NaN, +inf and
-    /// the model's own floor and floor ± 1e-12 (`pick` chooses).
+    /// Bounces in [-0.1, 3] V plus the edge values: zero, NaN, +inf,
+    /// the model's own floor and floor ± 1e-12, and bounces a hair below
+    /// the mean margin, where the epicentre's skip threshold sits at its
+    /// edge (`pick` chooses).
     fn bounce(m: &UpsetModel, pick: u32, millivolts: u32) -> f64 {
         let floor = lowest_margin(m);
         match pick {
@@ -236,6 +335,8 @@ mod tests {
             3 => floor - 1e-12,
             4 => floor + 1e-12,
             5 => floor,
+            6 => m.noise_margin_v * (1.0 - 1e-12),
+            7 if m.noise_margin_v > 0.0 => f64::from_bits(m.noise_margin_v.to_bits() - 1),
             _ => f64::from(millivolts) * 1e-3 - 0.1,
         }
     }
@@ -246,23 +347,28 @@ mod tests {
         #[test]
         fn windowed_upsets_match_the_full_loop(
             m in model(),
-            pick in 0u32..12,
+            pick in 0u32..16,
             millivolts in 0u32..=3100,
             latches in 0usize..5000,
-            seed in any::<u64>(),
+            seeds in proptest::collection::vec(any::<u64>(), 1..5),
         ) {
             let b = bounce(&m, pick, millivolts);
-            prop_assert_eq!(
-                m.upsets(b, latches, seed),
-                upsets_reference(&m, b, latches, seed),
-                "model {:?} bounce {} latches {} seed {}", m, b, latches, seed
-            );
+            let sampler = m.sampler(b, latches);
+            for &seed in &seeds {
+                let want = upsets_reference(&m, b, latches, seed);
+                prop_assert_eq!(
+                    sampler.upsets(seed),
+                    want.clone(),
+                    "model {:?} bounce {} latches {} seed {}", m, b, latches, seed
+                );
+                prop_assert_eq!(m.upsets(b, latches, seed), want);
+            }
         }
 
         #[test]
         fn latches_outside_the_window_cannot_flip(
             m in model(),
-            pick in 0u32..12,
+            pick in 0u32..16,
             millivolts in 0u32..=3100,
             latches in 1usize..5000,
             e in any::<u64>(),
@@ -272,12 +378,14 @@ mod tests {
             let epicentre = (e % latches as u64) as usize;
             let lambda = (m.decay_lambda * latches as f64).max(1.0);
             let floor = lowest_margin(&m);
-            let outside = match m.window(b, lambda, latches, epicentre) {
-                None => vec![epicentre],
-                Some((lo, hi)) => [lo.checked_sub(1), (hi < latches).then_some(hi)]
+            let window = m.sampler(b, latches).window(epicentre);
+            let outside: Vec<usize> = if window.is_empty() {
+                vec![epicentre]
+            } else {
+                [window.start.checked_sub(1), (window.end < latches).then_some(window.end)]
                     .into_iter()
                     .flatten()
-                    .collect(),
+                    .collect()
             };
             for i in outside {
                 let d = (i as isize - epicentre as isize).unsigned_abs() as f64;
@@ -285,6 +393,52 @@ mod tests {
                 prop_assert!(local <= floor, "latch {} local {} floor {}", i, local, floor);
             }
         }
+    }
+
+    /// Every skip threshold at its edge: a first uniform at, or one step
+    /// above, the threshold, with the second uniform that gives the
+    /// lowest margin (`cos = −1`), must leave the latch unflipped. The
+    /// bounces put the epicentre's gap `μ − local` at 10^-12 σ to 10 σ,
+    /// and the decay spreads the other distances' gaps between.
+    #[test]
+    fn skipped_draws_cannot_flip() {
+        let default = UpsetModel::default_120nm();
+        let models = [
+            default,
+            UpsetModel {
+                margin_sigma_v: 0.05,
+                ..default
+            },
+            UpsetModel {
+                margin_sigma_v: 0.5,
+                ..default
+            },
+            UpsetModel {
+                noise_margin_v: 0.5,
+                margin_sigma_v: 0.001,
+                ..default
+            },
+        ];
+        let mut checked = 0;
+        for m in models {
+            for tenths in -120..=10 {
+                let gap = m.margin_sigma_v * 10f64.powf(f64::from(tenths) / 10.0);
+                let sampler = m.sampler(m.noise_margin_v - gap, 200);
+                for (&local, &t) in sampler.local.iter().zip(&sampler.skip_u1) {
+                    let t = t.max(MIN_U1);
+                    let edge = [t, f64::from_bits(t.to_bits() + 1)];
+                    for u1 in edge.into_iter().filter(|&u1| u1 < 1.0) {
+                        let margin = m.margin(u1, 0.5);
+                        assert!(
+                            local <= margin,
+                            "model {m:?} local {local} u1 {u1} margin {margin}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} edges checked");
     }
 
     #[test]

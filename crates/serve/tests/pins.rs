@@ -4,8 +4,9 @@
 //!
 //! * Tables I/II (`sweep --json`), the Fig. 8 testbench
 //!   (`validate --sequences 10`), the W=80 Hamming `cost` report, the
-//!   wake sampler's `rush --trials 200` and the datapath explore report
-//!   at one and at four workers, against their fixtures;
+//!   wake sampler's `rush --trials 200` and `--trials 1000` and the
+//!   datapath explore report at one and at four workers, against their
+//!   fixtures;
 //! * the scalar and wide fault-simulation engines on the 8x8 FIFO, on
 //!   its `--scope all` fault list and on `scan_chain4.v`, against each
 //!   other;
@@ -145,6 +146,14 @@ fn cost_w80_hamming_matches_the_fixture() {
 #[test]
 fn rush200_matches_the_fixture() {
     pin_stdout("rush --trials 200", "rush200.txt");
+}
+
+/// Five times `rush200.txt`'s stream: the monitored full-bank row runs
+/// the codec's recovery on 1,000 upset events instead of 200, so a
+/// recovery that differs only on rare bursts shows here.
+#[test]
+fn rush1000_matches_the_fixture() {
+    pin_stdout("rush --trials 1000", "rush1000.txt");
 }
 
 #[test]
