@@ -17,8 +17,6 @@
 //! Every scan flop must land on exactly one chain and sample the shared
 //! scan-enable net; anything else is a [`DftError::Recover`].
 
-use std::collections::{HashMap, HashSet};
-
 use scanguard_netlist::{CellId, NetId, Netlist};
 
 use crate::error::DftError;
@@ -73,55 +71,50 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
         .map_err(|_| err(format!("no scan-enable input port `{SE_PORT}`")))?;
 
     // Scan flops indexed by the net on their SI pin (pin order D, SI, SE).
-    let scan_flops: Vec<CellId> = netlist
-        .cells()
-        .filter(|(_, c)| c.kind().is_scan())
-        .map(|(id, _)| id)
-        .collect();
-    let mut by_si: HashMap<NetId, CellId> = HashMap::new();
-    for &id in &scan_flops {
-        let si = netlist.cell(id).inputs()[1];
-        if by_si.insert(si, id).is_some() {
+    let mut by_si: Vec<Option<CellId>> = vec![None; netlist.net_count()];
+    let mut scan_flops = 0usize;
+    for (id, cell) in netlist.cells().filter(|(_, c)| c.kind().is_scan()) {
+        scan_flops += 1;
+        let si = cell.inputs()[1];
+        if by_si[si.index()].replace(id).is_some() {
             return Err(err(format!(
                 "net {si} feeds the SI pin of more than one scan flop"
             )));
         }
     }
 
-    // Combinational fanout: net -> (consuming cell, pin index).
-    let mut fanout: HashMap<NetId, Vec<(CellId, usize)>> = HashMap::new();
-    for (id, cell) in netlist.cells() {
-        for (pin, &input) in cell.inputs().iter().enumerate() {
-            fanout.entry(input).or_default().push((id, pin));
-        }
-    }
-
+    let fanout = Fanout::new(netlist);
+    let mut seen = vec![false; netlist.net_count()];
     let mut chains = Vec::new();
-    let mut claimed: HashSet<CellId> = HashSet::new();
+    // Flops already on a chain, this one included, set as each is
+    // pushed: the walk below checks a flag instead of searching the
+    // chain. `claim` answers whether the flop was claimed before.
+    let mut claimed = vec![false; netlist.cell_count()];
+    let mut claimed_count = 0usize;
+    let mut claim = |id: CellId| {
+        let bit = &mut claimed[id.index()];
+        claimed_count += usize::from(!*bit);
+        std::mem::replace(bit, true)
+    };
     for k in 0.. {
         let si_name = format!("{SI_PREFIX}[{k}]");
         let Ok(si) = netlist.port(&si_name) else {
             break;
         };
-        let head = trace_head(netlist, &fanout, si, &si_name)?;
+        let head = trace_head(netlist, &fanout, &mut seen, si, &si_name)?;
 
         // Follow direct Q -> SI links to the end of the chain.
         let mut cells = vec![head];
+        claim(head);
         let mut cursor = head;
-        loop {
-            let q = netlist.cell(cursor).output();
-            match by_si.get(&q) {
-                Some(&next) => {
-                    if claimed.contains(&next) || cells.contains(&next) {
-                        return Err(err(format!(
-                            "scan chain {k} loops back onto an already-chained flop"
-                        )));
-                    }
-                    cells.push(next);
-                    cursor = next;
-                }
-                None => break,
+        while let Some(next) = by_si[netlist.cell(cursor).output().index()] {
+            if claim(next) {
+                return Err(err(format!(
+                    "scan chain {k} loops back onto an already-chained flop"
+                )));
             }
+            cells.push(next);
+            cursor = next;
         }
 
         let so = netlist.cell(cursor).output();
@@ -136,13 +129,11 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
         }
 
         for &id in &cells {
-            let cell = netlist.cell(id);
-            if cell.inputs()[2] != se {
+            if netlist.cell(id).inputs()[2] != se {
                 return Err(err(format!(
                     "flop {id} on chain {k} does not sample scan-enable `{SE_PORT}`"
                 )));
             }
-            claimed.insert(id);
         }
         chains.push(ScanChain { si, so, cells });
     }
@@ -152,11 +143,11 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
             "no `{SI_PREFIX}[0]` scan-in port: design has no recoverable scan chains"
         )));
     }
-    if claimed.len() != scan_flops.len() {
+    if claimed_count != scan_flops {
         return Err(err(format!(
             "{} of {} scan flops are not on any recovered chain",
-            scan_flops.len() - claimed.len(),
-            scan_flops.len()
+            scan_flops - claimed_count,
+            scan_flops
         )));
     }
     Ok(ScanChains {
@@ -166,6 +157,42 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
     })
 }
 
+/// Combinational fanout in compressed-row form: the `(consuming cell,
+/// pin index)` pairs of net `n` are `sinks[start[n]..start[n + 1]]`, in
+/// cell order.
+struct Fanout {
+    start: Vec<u32>,
+    sinks: Vec<(CellId, u32)>,
+}
+
+impl Fanout {
+    fn new(netlist: &Netlist) -> Self {
+        let mut start = vec![0u32; netlist.net_count() + 1];
+        for (_, cell) in netlist.cells() {
+            for &input in cell.inputs() {
+                start[input.index() + 1] += 1;
+            }
+        }
+        for n in 1..start.len() {
+            start[n] += start[n - 1];
+        }
+        let mut fill = start.clone();
+        let mut sinks = vec![(CellId::from_index(0), 0); start[start.len() - 1] as usize];
+        for (id, cell) in netlist.cells() {
+            for (pin, &input) in cell.inputs().iter().enumerate() {
+                let slot = &mut fill[input.index()];
+                sinks[*slot as usize] = (id, pin as u32);
+                *slot += 1;
+            }
+        }
+        Fanout { start, sinks }
+    }
+
+    fn of(&self, net: NetId) -> &[(CellId, u32)] {
+        &self.sinks[self.start[net.index()] as usize..self.start[net.index() + 1] as usize]
+    }
+}
+
 /// Traces `si` through combinational cells to the unique scan flop
 /// whose SI pin it reaches.
 ///
@@ -173,18 +200,20 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
 /// that went through [`configure_test_mode`](crate::configure_test_mode)
 /// reaches it through the concatenation mux in front of the chain. The
 /// trace refuses to cross sequential cells, and demands exactly one SI
-/// landing site.
+/// landing site. `seen` is all `false` on entry and on return.
 fn trace_head(
     netlist: &Netlist,
-    fanout: &HashMap<NetId, Vec<(CellId, usize)>>,
+    fanout: &Fanout,
+    seen: &mut [bool],
     si: NetId,
     si_name: &str,
 ) -> Result<CellId, DftError> {
     let mut frontier = vec![si];
-    let mut seen: HashSet<NetId> = frontier.iter().copied().collect();
+    let mut visited = vec![si];
+    seen[si.index()] = true;
     let mut heads: Vec<CellId> = Vec::new();
     while let Some(net) = frontier.pop() {
-        for &(cell, pin) in fanout.get(&net).map_or(&[][..], |v| v) {
+        for &(cell, pin) in fanout.of(net) {
             let kind = netlist.cell(cell).kind();
             if kind.is_scan() && pin == 1 {
                 if !heads.contains(&cell) {
@@ -192,11 +221,15 @@ fn trace_head(
                 }
             } else if !kind.is_sequential() {
                 let out = netlist.cell(cell).output();
-                if seen.insert(out) {
+                if !std::mem::replace(&mut seen[out.index()], true) {
+                    visited.push(out);
                     frontier.push(out);
                 }
             }
         }
+    }
+    for net in visited {
+        seen[net.index()] = false;
     }
     match heads.as_slice() {
         [head] => Ok(*head),
@@ -303,6 +336,73 @@ mod tests {
             e.to_string().contains("not on any recovered chain")
                 || e.to_string().contains("scan-enable"),
             "{e}"
+        );
+    }
+
+    fn recover_message(nl: &Netlist) -> String {
+        recover_scan_chains(nl).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn chain_looping_back_onto_itself_is_reported() {
+        // Two flops in a ring: `si[0]` names the ring net (an output
+        // port), so the walk from the head comes back round to it.
+        let nl = from_verilog(
+            "module ring (d, se, \\si[0] , \\so[0] );\n\
+             input d;\n\
+             input se;\n\
+             output \\si[0] ;\n\
+             output \\so[0] ;\n\
+             wire a;\n\
+             wire b;\n\
+             SDFF f0 (.Q(a), .D(d), .SI(b), .SE(se));\n\
+             SDFF f1 (.Q(b), .D(d), .SI(a), .SE(se));\n\
+             assign \\si[0] = b;\n\
+             assign \\so[0] = b;\n\
+             endmodule\n",
+        )
+        .unwrap();
+        assert_eq!(
+            recover_message(&nl),
+            "scan-chain recovery failed: scan chain 0 loops back onto an already-chained flop"
+        );
+    }
+
+    #[test]
+    fn chain_running_onto_an_earlier_chain_is_reported() {
+        // Both scan-ins reach the same head through one OR gate, so
+        // chain 1 walks onto chain 0's second flop.
+        let mut b = NetlistBuilder::new("shared");
+        let d = b.input("d");
+        let si = b.input_bus("si", 2);
+        let se = b.input("se");
+        let m = b.or2(si[0], si[1]);
+        let (q0, _) = b.sdff("a0", d, m, se);
+        let (q1, _) = b.sdff("a1", d, q0, se);
+        b.output_bus("so", &[q1, q1]);
+        let nl = b.finish().unwrap();
+        assert_eq!(
+            recover_message(&nl),
+            "scan-chain recovery failed: scan chain 1 loops back onto an already-chained flop"
+        );
+    }
+
+    #[test]
+    fn unchained_scan_flop_message_is_exact() {
+        // The orphan samples the right scan-enable; only its missing
+        // chain is wrong.
+        let mut b = NetlistBuilder::new("orphan");
+        let d = b.input("d");
+        let si = b.input_bus("si", 1);
+        let se = b.input("se");
+        let (q, _) = b.sdff("s0", d, si[0], se);
+        b.output_bus("so", &[q]);
+        let (q2, _) = b.sdff("orphan", d, d, se);
+        b.output("o2", q2);
+        let nl = b.finish().unwrap();
+        assert_eq!(
+            recover_message(&nl),
+            "scan-chain recovery failed: 1 of 2 scan flops are not on any recovered chain"
         );
     }
 

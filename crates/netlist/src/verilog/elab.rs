@@ -18,7 +18,9 @@ use super::alias::{our_cell, pins, resolve_alias, AliasDef, Resolved, GLOBAL_IGN
 use super::error::ParseError;
 use super::parse::{parse, Conns, Expr, Ident, Item, SourceModule};
 use crate::{GateKind, NetId, Netlist, NetlistError};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Names the exporters use for implicit infrastructure ports.
 const RESERVED: &[&str] = &["clk", "retain"];
@@ -77,25 +79,59 @@ enum InPin<'a> {
     Prev,
 }
 
+/// The most input pins any [`GateKind`] has.
+const MAX_INS: usize = 3;
+
 /// A cell after master/pin resolution, before net allocation.
 struct RCell<'a> {
     kind: GateKind,
-    ins: Vec<InPin<'a>>,
+    /// The first `kind.input_count()` entries are the input pins.
+    ins: [InPin<'a>; MAX_INS],
     out: Option<Ident<'a>>,
     name: Option<Ident<'a>>,
-    line: usize,
-    col: usize,
+    pos: u32,
 }
 
-enum RItem<'a> {
-    Cells(Vec<RCell<'a>>),
+impl<'a> RCell<'a> {
+    fn new(kind: GateKind, out: Option<Ident<'a>>, name: Option<Ident<'a>>, pos: u32) -> Self {
+        RCell {
+            kind,
+            ins: [InPin::Unconnected; MAX_INS],
+            out,
+            name,
+            pos,
+        }
+    }
+
+    fn ins(&self) -> &[InPin<'a>] {
+        &self.ins[..self.kind.input_count()]
+    }
+
+    /// The nets on the input pins.
+    fn net_refs(&self) -> impl Iterator<Item = &Ident<'a>> {
+        self.ins().iter().filter_map(|pin| match pin {
+            InPin::Net(id) => Some(id),
+            _ => None,
+        })
+    }
+}
+
+/// A source item resolved to a range of [`Resolution::cells`].
+enum RItem {
+    Cells(Range<usize>),
     Assign {
-        lhs: Ident<'a>,
-        cell: RCell<'a>,
+        cell: usize,
         /// `true` when the right-hand side is a bare identifier — the
         /// shape that can be an output-port alias.
         bare: bool,
     },
+}
+
+/// Every source item resolved, in item order; the cells of all items
+/// share one buffer.
+struct Resolution<'a> {
+    items: Vec<RItem>,
+    cells: Vec<RCell<'a>>,
 }
 
 struct Elaborator<'a> {
@@ -112,31 +148,33 @@ impl<'a> Elaborator<'a> {
             src,
             module,
             nl: Netlist::new_raw(module.name.text.to_owned()),
-            net_ids: HashMap::new(),
+            net_ids: HashMap::with_capacity(module.wires.len() + module.inputs.len()),
             tie0: None,
         }
     }
 
-    fn err(&self, line: usize, col: usize, message: String) -> ParseError {
-        ParseError::at(self.src, line, col, message)
+    fn err(&self, pos: u32, message: String) -> ParseError {
+        ParseError::at_offset(self.src, pos as usize, message)
     }
 
     fn err_at(&self, id: &Ident<'a>, message: String) -> ParseError {
-        self.err(id.line, id.col, message)
+        self.err(id.pos, message)
     }
 
     fn run(mut self) -> Result<Netlist, ParseError> {
         self.check_header()?;
         self.declare_wires()?;
         self.declare_inputs()?;
-        let ritems = self.resolve_items()?;
-        let aliases = alias_set(&ritems, self.module);
+        let res = self.resolve_items()?;
+        let aliases = self.alias_set(&res);
         let mut alias_nets: HashMap<&'a str, NetId> = HashMap::new();
-        for item in &ritems {
-            match item {
-                RItem::Cells(cells) => self.build_cells(cells)?,
-                RItem::Assign { lhs, cell, bare } => {
-                    if *bare && aliases.contains(lhs.text) {
+        for item in &res.items {
+            match *item {
+                RItem::Cells(ref range) => self.build_cells(&res.cells[range.clone()])?,
+                RItem::Assign { cell, bare } => {
+                    let cell = &res.cells[cell];
+                    let lhs = cell.out.expect("an assign drives its left-hand side");
+                    if bare && aliases.contains(lhs.text) {
                         let rhs = match cell.ins[0] {
                             InPin::Net(id) => id,
                             _ => unreachable!("bare assign always has a net operand"),
@@ -151,7 +189,7 @@ impl<'a> Elaborator<'a> {
         }
         self.declare_outputs(&alias_nets)?;
         if let Err(e) = self.nl.revalidate() {
-            return Err(self.err(self.module.line, self.module.col, e.to_string()));
+            return Err(self.err(self.module.pos, e.to_string()));
         }
         Ok(self.nl)
     }
@@ -208,13 +246,15 @@ impl<'a> Elaborator<'a> {
     fn declare_wires(&mut self) -> Result<(), ParseError> {
         for w in &self.module.wires {
             self.check_reserved(w)?;
-            if self.net_ids.contains_key(w.text) {
-                return Err(self.err_at(w, format!("net `{}` declared twice", w.text)));
-            }
             let index = self.nl.net_count();
-            let name = stored_name(w, "n", index);
-            self.nl.add_net(name.as_deref());
-            self.net_ids.insert(w.text, NetId::from_index(index));
+            match self.net_ids.entry(w.text) {
+                Entry::Occupied(_) => {
+                    return Err(self.err_at(w, format!("net `{}` declared twice", w.text)));
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(self.nl.add_net(stored_name(w, "n", index)));
+                }
+            }
         }
         Ok(())
     }
@@ -266,14 +306,11 @@ impl<'a> Elaborator<'a> {
 
     fn get_or_alloc(&mut self, id: &Ident<'a>) -> Result<NetId, ParseError> {
         self.check_reserved(id)?;
-        if let Some(&n) = self.net_ids.get(id.text) {
-            return Ok(n);
-        }
         let index = self.nl.net_count();
-        let name = stored_name(id, "n", index);
-        let n = self.nl.add_net(name.as_deref());
-        self.net_ids.insert(id.text, n);
-        Ok(n)
+        Ok(match self.net_ids.entry(id.text) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => *slot.insert(self.nl.add_net(stored_name(id, "n", index))),
+        })
     }
 
     fn tie0_net(&mut self) -> NetId {
@@ -290,8 +327,8 @@ impl<'a> Elaborator<'a> {
     fn build_cells(&mut self, cells: &[RCell<'a>]) -> Result<(), ParseError> {
         let mut prev_out: Option<NetId> = None;
         for cell in cells {
-            let mut ins = Vec::with_capacity(cell.ins.len());
-            for pin in &cell.ins {
+            let mut ins = Vec::with_capacity(cell.kind.input_count());
+            for pin in cell.ins() {
                 ins.push(match pin {
                     InPin::Net(id) => self.get_or_alloc(id)?,
                     InPin::Unconnected => self.tie0_net(),
@@ -307,17 +344,13 @@ impl<'a> Elaborator<'a> {
                 .name
                 .as_ref()
                 .and_then(|id| stored_name(id, "g", index));
-            match self
-                .nl
-                .try_add_cell_driving(cell.kind, ins, out, name.as_deref())
-            {
+            match self.nl.try_add_cell_driving(cell.kind, ins, out, name) {
                 Ok(_) => {}
                 Err(NetlistError::MultipleDrivers { net, name, .. }) => {
                     let is_input = self.nl.driver(net).is_none();
                     let label = name.unwrap_or_else(|| format!("{net}"));
                     return Err(self.err(
-                        cell.line,
-                        cell.col,
+                        cell.pos,
                         if is_input {
                             format!("cell output drives the input port `{label}`")
                         } else {
@@ -325,7 +358,7 @@ impl<'a> Elaborator<'a> {
                         },
                     ));
                 }
-                Err(e) => return Err(self.err(cell.line, cell.col, e.to_string())),
+                Err(e) => return Err(self.err(cell.pos, e.to_string())),
             }
             prev_out = Some(out);
         }
@@ -334,21 +367,21 @@ impl<'a> Elaborator<'a> {
 
     /// Resolves every source item to cells (masters looked up, pins
     /// mapped) without allocating nets.
-    fn resolve_items(&self) -> Result<Vec<RItem<'a>>, ParseError> {
-        let mut out = Vec::with_capacity(self.module.items.len());
+    fn resolve_items(&self) -> Result<Resolution<'a>, ParseError> {
+        let mut res = Resolution {
+            items: Vec::with_capacity(self.module.items.len()),
+            cells: Vec::with_capacity(self.module.items.len()),
+        };
         for item in &self.module.items {
             match item {
-                Item::Assign {
-                    lhs,
-                    rhs,
-                    line,
-                    col,
-                } => {
+                Item::Assign { lhs, rhs, pos } => {
+                    let net = |id: &Ident<'a>| InPin::Net(*id);
+                    let none = InPin::Unconnected;
                     let (kind, ins, bare) = match rhs {
-                        Expr::Const(false) => (GateKind::TieLo, Vec::new(), false),
-                        Expr::Const(true) => (GateKind::TieHi, Vec::new(), false),
-                        Expr::Net(a) => (GateKind::Buf, vec![InPin::Net(*a)], true),
-                        Expr::Inv(a) => (GateKind::Not, vec![InPin::Net(*a)], false),
+                        Expr::Const(false) => (GateKind::TieLo, [none; MAX_INS], false),
+                        Expr::Const(true) => (GateKind::TieHi, [none; MAX_INS], false),
+                        Expr::Net(a) => (GateKind::Buf, [net(a), none, none], true),
+                        Expr::Inv(a) => (GateKind::Not, [net(a), none, none], false),
                         Expr::Bin { op, terms } => {
                             let kind = match (op, terms.len()) {
                                 ('&', 2) => GateKind::And2,
@@ -359,7 +392,11 @@ impl<'a> Elaborator<'a> {
                                 ('^', 3) => GateKind::Xor3,
                                 _ => unreachable!("parser limits terms to 2..=3"),
                             };
-                            (kind, terms.iter().map(|t| InPin::Net(*t)).collect(), false)
+                            let mut ins = [none; MAX_INS];
+                            for (slot, t) in ins.iter_mut().zip(terms) {
+                                *slot = net(t);
+                            }
+                            (kind, ins, false)
                         }
                         Expr::NegBin { op, a, b } => {
                             let kind = match op {
@@ -367,47 +404,42 @@ impl<'a> Elaborator<'a> {
                                 '|' => GateKind::Nor2,
                                 _ => GateKind::Xnor2,
                             };
-                            (kind, vec![InPin::Net(*a), InPin::Net(*b)], false)
+                            (kind, [net(a), net(b), none], false)
                         }
-                        Expr::Mux { sel, t, f } => (
-                            GateKind::Mux2,
-                            vec![InPin::Net(*sel), InPin::Net(*f), InPin::Net(*t)],
-                            false,
-                        ),
+                        Expr::Mux { sel, t, f } => {
+                            (GateKind::Mux2, [net(sel), net(f), net(t)], false)
+                        }
                     };
-                    out.push(RItem::Assign {
-                        lhs: *lhs,
-                        cell: RCell {
-                            kind,
-                            ins,
-                            out: Some(*lhs),
-                            name: None,
-                            line: *line,
-                            col: *col,
-                        },
+                    res.items.push(RItem::Assign {
+                        cell: res.cells.len(),
                         bare,
+                    });
+                    res.cells.push(RCell {
+                        ins,
+                        ..RCell::new(kind, Some(*lhs), None, *pos)
                     });
                 }
                 Item::Instance {
                     master,
                     inst,
                     conns,
-                    line,
-                    col,
                 } => {
-                    let cells = match conns {
-                        Conns::Positional(nets) => {
-                            vec![self.resolve_primitive(master, *inst, nets, *line, *col)?]
+                    let start = res.cells.len();
+                    match conns {
+                        Conns::Positional(range) => {
+                            let nets = &self.module.positional[range.clone()];
+                            res.cells.push(self.resolve_primitive(master, *inst, nets)?);
                         }
-                        Conns::Named(pairs) => {
-                            self.resolve_named(master, *inst, pairs, *line, *col)?
+                        Conns::Named(range) => {
+                            let pairs = &self.module.named[range.clone()];
+                            self.resolve_named(master, *inst, pairs, &mut res.cells)?;
                         }
-                    };
-                    out.push(RItem::Cells(cells));
+                    }
+                    res.items.push(RItem::Cells(start..res.cells.len()));
                 }
             }
         }
-        Ok(out)
+        Ok(res)
     }
 
     fn resolve_primitive(
@@ -415,8 +447,6 @@ impl<'a> Elaborator<'a> {
         master: &Ident<'a>,
         inst: Option<Ident<'a>>,
         nets: &[Ident<'a>],
-        line: usize,
-        col: usize,
     ) -> Result<RCell<'a>, ParseError> {
         let n_ins = nets.len().saturating_sub(1);
         let kind = match (master.text, n_ins) {
@@ -432,31 +462,28 @@ impl<'a> Elaborator<'a> {
             ("xor", 3) => GateKind::Xor3,
             ("xnor", 2) => GateKind::Xnor2,
             (name, n) => {
-                return Err(self.err(
-                    line,
-                    col,
+                return Err(self.err_at(
+                    master,
                     format!("`{name}` with {n} inputs is not in the cell library"),
                 ));
             }
         };
-        Ok(RCell {
-            kind,
-            ins: nets[1..].iter().map(|n| InPin::Net(*n)).collect(),
-            out: Some(nets[0]),
-            name: inst,
-            line,
-            col,
-        })
+        let mut cell = RCell::new(kind, Some(nets[0]), inst, master.pos);
+        for (slot, n) in cell.ins.iter_mut().zip(&nets[1..]) {
+            *slot = InPin::Net(*n);
+        }
+        Ok(cell)
     }
 
+    /// Resolves a named-connection instance, appending its cells to
+    /// `cells`.
     fn resolve_named(
         &self,
         master: &Ident<'a>,
         inst: Option<Ident<'a>>,
         pairs: &[(Ident<'a>, Option<Ident<'a>>)],
-        line: usize,
-        col: usize,
-    ) -> Result<Vec<RCell<'a>>, ParseError> {
+        cells: &mut Vec<RCell<'a>>,
+    ) -> Result<(), ParseError> {
         if let Some(kind) = our_cell(master.text) {
             let (ins, out) = pins(kind);
             let def = AliasDef {
@@ -466,10 +493,10 @@ impl<'a> Elaborator<'a> {
                 out_n: None,
                 ignore: &[],
             };
-            return self.resolve_def(master, inst, &def, pairs, line, col);
+            return self.resolve_def(master, inst, &def, pairs, cells);
         }
         match resolve_alias(master.text) {
-            Some(Resolved::Gate(def)) => self.resolve_def(master, inst, def, pairs, line, col),
+            Some(Resolved::Gate(def)) => self.resolve_def(master, inst, def, pairs, cells),
             Some(Resolved::ClockGate) => {
                 let def = AliasDef {
                     kind: GateKind::Or2,
@@ -478,10 +505,10 @@ impl<'a> Elaborator<'a> {
                     out_n: None,
                     ignore: &["clk_i"],
                 };
-                self.resolve_def(master, inst, &def, pairs, line, col)
+                self.resolve_def(master, inst, &def, pairs, cells)
             }
             Some(Resolved::Conb) => {
-                let mut cells = Vec::new();
+                let mut first = true;
                 for (pin, net) in pairs {
                     let kind = match pin.text {
                         "HI" => GateKind::TieHi,
@@ -495,22 +522,16 @@ impl<'a> Elaborator<'a> {
                         }
                     };
                     if let Some(net) = net {
-                        cells.push(RCell {
-                            kind,
-                            ins: Vec::new(),
-                            out: Some(*net),
-                            name: if cells.is_empty() { inst } else { None },
-                            line,
-                            col,
-                        });
+                        let name = if first { inst } else { None };
+                        cells.push(RCell::new(kind, Some(*net), name, master.pos));
+                        first = false;
                     }
                 }
-                Ok(cells)
+                Ok(())
             }
-            Some(Resolved::Skip) => Ok(Vec::new()),
-            None => Err(self.err(
-                line,
-                col,
+            Some(Resolved::Skip) => Ok(()),
+            None => Err(self.err_at(
+                master,
                 format!(
                     "unknown cell `{}` (not in the cell library or alias table)",
                     master.text
@@ -525,23 +546,21 @@ impl<'a> Elaborator<'a> {
         inst: Option<Ident<'a>>,
         def: &AliasDef,
         pairs: &[(Ident<'a>, Option<Ident<'a>>)],
-        line: usize,
-        col: usize,
-    ) -> Result<Vec<RCell<'a>>, ParseError> {
-        let mut ins: Vec<InPin<'a>> = vec![InPin::Unconnected; def.ins.len()];
-        let mut out: Option<Ident<'a>> = None;
+        cells: &mut Vec<RCell<'a>>,
+    ) -> Result<(), ParseError> {
+        let mut cell = RCell::new(def.kind, None, inst, master.pos);
         let mut out_n: Option<Ident<'a>> = None;
-        let mut seen: HashSet<&str> = HashSet::new();
-        for (pin, net) in pairs {
-            if !seen.insert(pin.text) {
+        for (i, (pin, net)) in pairs.iter().enumerate() {
+            // An instance has a handful of pins: a scan beats a set.
+            if pairs[..i].iter().any(|(seen, _)| seen.text == pin.text) {
                 return Err(self.err_at(pin, format!("pin `{}` connected twice", pin.text)));
             }
             if let Some(i) = def.ins.iter().position(|p| *p == pin.text) {
                 if let Some(net) = net {
-                    ins[i] = InPin::Net(*net);
+                    cell.ins[i] = InPin::Net(*net);
                 }
             } else if pin.text == def.out {
-                out = *net;
+                cell.out = *net;
             } else if def.out_n == Some(pin.text) {
                 out_n = *net;
             } else if def.ignore.contains(&pin.text) || GLOBAL_IGNORE.contains(&pin.text) {
@@ -560,25 +579,69 @@ impl<'a> Elaborator<'a> {
                 ));
             }
         }
-        let mut cells = vec![RCell {
-            kind: def.kind,
-            ins,
-            out,
-            name: inst,
-            line,
-            col,
-        }];
+        cells.push(cell);
         if let Some(qn) = out_n {
-            cells.push(RCell {
-                kind: GateKind::Not,
-                ins: vec![InPin::Prev],
-                out: Some(qn),
-                name: None,
-                line,
-                col,
-            });
+            let mut inv = RCell::new(GateKind::Not, Some(qn), None, master.pos);
+            inv.ins[0] = InPin::Prev;
+            cells.push(inv);
         }
-        Ok(cells)
+        Ok(())
+    }
+
+    /// Output-port names that resolve to pure aliases: assigned exactly
+    /// once from a bare net, never declared as a wire or input, and
+    /// never referenced by any cell.
+    ///
+    /// Only the candidates — bare assigns to undeclared output ports —
+    /// are hashed into a map; one pass then drops every candidate a
+    /// cell references and counts the assigns to the rest. Without a
+    /// candidate there is no pass.
+    fn alias_set(&self, res: &Resolution<'a>) -> HashSet<&'a str> {
+        let module = self.module;
+        let outputs: HashSet<&str> = module.outputs.iter().map(|o| o.text).collect();
+        let inputs: HashSet<&str> = module.inputs.iter().map(|i| i.text).collect();
+        // Candidate name -> number of assigns driving it (any shape).
+        let mut candidates: HashMap<&'a str, usize> = HashMap::new();
+        for item in &res.items {
+            if let RItem::Assign { cell, bare: true } = *item {
+                let lhs = res.cells[cell]
+                    .out
+                    .expect("an assign drives its left-hand side");
+                // `net_ids` holds every wire and every non-reserved input.
+                if outputs.contains(lhs.text)
+                    && !inputs.contains(lhs.text)
+                    && !self.net_ids.contains_key(lhs.text)
+                {
+                    candidates.insert(lhs.text, 0);
+                }
+            }
+        }
+        if candidates.is_empty() {
+            return HashSet::new();
+        }
+        for item in &res.items {
+            let (cells, assign) = match *item {
+                RItem::Cells(ref range) => (&res.cells[range.clone()], false),
+                RItem::Assign { cell, .. } => (std::slice::from_ref(&res.cells[cell]), true),
+            };
+            for cell in cells {
+                // An assign's left-hand side is not a reference.
+                let out = cell.out.as_ref().filter(|_| !assign);
+                for id in cell.net_refs().chain(out) {
+                    candidates.remove(id.text);
+                }
+                if let (true, Some(lhs)) = (assign, &cell.out) {
+                    if let Some(count) = candidates.get_mut(lhs.text) {
+                        *count += 1;
+                    }
+                }
+            }
+        }
+        candidates
+            .into_iter()
+            .filter(|&(_, count)| count == 1)
+            .map(|(name, _)| name)
+            .collect()
     }
 }
 
@@ -586,62 +649,65 @@ impl<'a> Elaborator<'a> {
 /// identifier is the anonymous pattern (`n{index}` / `g{index}`) for
 /// its own index. Escaped identifiers always keep their name — that is
 /// how the exporter marks a real name that collides with the pattern.
-fn stored_name(id: &Ident<'_>, prefix: &str, index: usize) -> Option<String> {
-    if !id.escaped && id.text == format!("{prefix}{index}") {
+fn stored_name<'a>(id: &Ident<'a>, prefix: &str, index: usize) -> Option<&'a str> {
+    if !id.escaped && is_pattern(id.text, prefix, index) {
         return None;
     }
-    Some(id.text.to_owned())
+    Some(id.text)
 }
 
-/// Output-port names that resolve to pure aliases: assigned exactly
-/// once from a bare net, never declared as a wire or input, and never
-/// referenced by any cell.
-fn alias_set<'a>(ritems: &[RItem<'a>], module: &SourceModule<'a>) -> HashSet<&'a str> {
-    fn count_cell<'a>(refs: &mut HashSet<&'a str>, cell: &RCell<'a>, include_out: bool) {
-        for pin in &cell.ins {
-            if let InPin::Net(id) = pin {
-                refs.insert(id.text);
-            }
-        }
-        if include_out {
-            if let Some(out) = &cell.out {
-                refs.insert(out.text);
-            }
-        }
+/// `text == format!("{prefix}{index}")`, without formatting: the digits
+/// after `prefix` are compared in place. Leading zeros never print
+/// (`n05` is a real name).
+fn is_pattern(text: &str, prefix: &str, index: usize) -> bool {
+    text.strip_prefix(prefix).is_some_and(|digits| {
+        digits.bytes().all(|b| b.is_ascii_digit())
+            && !(digits.len() > 1 && digits.starts_with('0'))
+            && digits.parse() == Ok(index)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stored<'a>(text: &'a str, escaped: bool, prefix: &str, index: usize) -> Option<&'a str> {
+        stored_name(
+            &Ident {
+                text,
+                escaped,
+                pos: 0,
+            },
+            prefix,
+            index,
+        )
     }
-    let mut refs: HashSet<&str> = HashSet::new();
-    let mut lhs_count: HashMap<&str, usize> = HashMap::new();
-    for item in ritems {
-        match item {
-            RItem::Cells(cells) => {
-                for c in cells {
-                    count_cell(&mut refs, c, true);
-                }
-            }
-            RItem::Assign { lhs, cell, .. } => {
-                count_cell(&mut refs, cell, false);
-                *lhs_count.entry(lhs.text).or_insert(0) += 1;
-            }
-        }
+
+    #[test]
+    fn own_pattern_is_anonymous() {
+        assert_eq!(stored("n5", false, "n", 5), None);
+        assert_eq!(stored("n0", false, "n", 0), None);
+        assert_eq!(stored("g12", false, "g", 12), None);
+        let max = format!("n{}", usize::MAX);
+        assert_eq!(stored(&max, false, "n", usize::MAX), None);
     }
-    let inputs: HashSet<&str> = module.inputs.iter().map(|i| i.text).collect();
-    let wires: HashSet<&str> = module.wires.iter().map(|w| w.text).collect();
-    let outputs: HashSet<&str> = module.outputs.iter().map(|o| o.text).collect();
-    let mut aliases = HashSet::new();
-    for item in ritems {
-        if let RItem::Assign {
-            lhs, bare: true, ..
-        } = item
-        {
-            if outputs.contains(lhs.text)
-                && !wires.contains(lhs.text)
-                && !inputs.contains(lhs.text)
-                && !refs.contains(lhs.text)
-                && lhs_count.get(lhs.text) == Some(&1)
-            {
-                aliases.insert(lhs.text);
-            }
-        }
+
+    #[test]
+    fn anything_else_keeps_its_name() {
+        assert_eq!(stored("n05", false, "n", 5), Some("n05"));
+        assert_eq!(stored("n5", false, "n", 6), Some("n5"));
+        assert_eq!(stored("n5", true, "n", 5), Some("n5"), "escaped `\\n5 `");
+        assert_eq!(
+            stored("g5", false, "n", 5),
+            Some("g5"),
+            "a cell pattern on a net"
+        );
+        let long = format!("n{}", "9".repeat(25));
+        assert_eq!(stored(&long, false, "n", 5), Some(long.as_str()));
+        let wrapped = format!("n{}", u128::from(u64::MAX) + 1 + 5);
+        assert_eq!(stored(&wrapped, false, "n", 5), Some(wrapped.as_str()));
+        assert_eq!(stored("n", false, "n", 0), Some("n"));
+        assert_eq!(stored("n5x", false, "n", 5), Some("n5x"));
+        assert_eq!(stored("n+5", false, "n", 5), Some("n+5"));
     }
-    aliases
 }

@@ -45,6 +45,23 @@ impl ParseError {
     }
 }
 
+impl ParseError {
+    /// Builds an error at byte offset `offset` of `src`: the line is one
+    /// plus the number of `\n`s before it, the column one plus the bytes
+    /// since the last of them (a tab or a multi-byte character counts
+    /// one column per byte). An offset at or past the end of `src`
+    /// points just after its last byte.
+    pub(super) fn at_offset(src: &str, offset: usize, message: String) -> Self {
+        let before = &src.as_bytes()[..offset.min(src.len())];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |p| p + 1);
+        ParseError::at(src, line, before.len() - line_start + 1, message)
+    }
+}
+
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -80,6 +97,24 @@ mod tests {
         // The snippet line prefix `    2 | ` is 8 chars; column 8
         // (1-based) lands at rendered index 8 + 7.
         assert_eq!(caret_line.find('^'), Some(8 + 7), "{text}");
+    }
+
+    #[test]
+    fn offsets_map_to_lines_and_byte_columns() {
+        let src = "ab\n\tc\u{e9}d\r\n\nx";
+        let at = |offset| {
+            let e = ParseError::at_offset(src, offset, String::new());
+            (e.line, e.col)
+        };
+        assert_eq!(at(0), (1, 1));
+        assert_eq!(at(2), (1, 3), "the newline itself ends its line");
+        assert_eq!(at(3), (2, 1));
+        assert_eq!(at(7), (2, 5), "the two-byte character spans columns 3-4");
+        assert_eq!(at(8), (2, 6), "`\\r` is an ordinary column");
+        assert_eq!(at(10), (3, 1));
+        assert_eq!(at(src.len()), (4, 2));
+        let e = ParseError::at_offset("x\n", 2, String::new());
+        assert_eq!((e.line, e.col, e.snippet.as_str()), (2, 1, ""));
     }
 
     #[test]

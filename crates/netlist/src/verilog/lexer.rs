@@ -1,231 +1,201 @@
 //! Zero-copy tokenizer for structural Verilog.
 //!
-//! Produces identifier / number / symbol tokens carrying 1-based
-//! line/column positions. Comments (`//` and `/* */`) and compiler
-//! directives (`` ` `` to end of line) are skipped. Escaped
-//! identifiers (`\name `) keep an `escaped` flag — the importer uses
-//! it to distinguish a real name that *looks* like an anonymous-id
-//! pattern from the pattern itself.
+//! Produces identifier / number / symbol tokens, each carrying the byte
+//! span of its text in the source. Positions are byte offsets: a
+//! 1-based line/column is computed only when an error is reported (see
+//! [`ParseError::at_offset`]), so the hot loop never counts lines.
+//! Comments (`//` and `/* */`) and compiler directives (`` ` `` to end
+//! of line) are skipped. Escaped identifiers (`\name `) are a token
+//! kind of their own — the importer uses it to tell a real name that
+//! *looks* like an anonymous-id pattern from the pattern itself.
 
 use super::error::ParseError;
 
-/// One token, borrowing from the source text.
+/// One token: its kind and the byte span `start..end` of its source
+/// text (for an escaped identifier the span includes the backslash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Tok<'a> {
-    pub kind: TokKind<'a>,
-    pub line: usize,
-    pub col: usize,
+pub(super) struct Tok {
+    pub kind: TokKind,
+    pub start: u32,
+    pub end: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum TokKind<'a> {
-    /// A simple or escaped identifier (escaped form has the leading
-    /// backslash and trailing whitespace stripped).
-    Ident { text: &'a str, escaped: bool },
+pub(super) enum TokKind {
+    /// A simple identifier.
+    Ident,
+    /// An escaped identifier (`\name `); its text drops the leading
+    /// backslash and the span stops before the terminating whitespace.
+    Escaped,
     /// A literal number, kept raw (e.g. `1'b0`, `42`).
-    Number(&'a str),
+    Number,
     /// A single punctuation character.
-    Sym(char),
+    Sym(u8),
     /// End of input.
     Eof,
 }
 
-impl<'a> TokKind<'a> {
+impl Tok {
+    /// The token's text: the identifier's name (without an escaped
+    /// identifier's backslash), the literal, or the symbol.
+    pub fn text(self, src: &str) -> &str {
+        let start = self.start as usize + usize::from(self.kind == TokKind::Escaped);
+        &src[start..self.end as usize]
+    }
+
     /// A short human-readable description for error messages.
-    pub fn describe(&self) -> String {
-        match self {
-            TokKind::Ident { text, .. } => format!("`{text}`"),
-            TokKind::Number(n) => format!("`{n}`"),
-            TokKind::Sym(c) => format!("`{c}`"),
+    pub fn describe(self, src: &str) -> String {
+        match self.kind {
             TokKind::Eof => "end of input".to_owned(),
+            _ => format!("`{}`", self.text(src)),
         }
     }
 }
-
-const SYMBOLS: &[char] = &[
-    '(', ')', ';', ',', '.', '=', '~', '&', '|', '^', '?', ':', '[', ']', '#', '{', '}', '*', '/',
-    '@', '<', '>', '+', '-',
-];
 
 /// Tokenizes `src` in one pass.
 ///
 /// # Errors
 ///
 /// Returns a located [`ParseError`] for unterminated block comments,
-/// bare backslashes, and characters outside the structural subset.
-pub(super) fn tokenize(src: &str) -> Result<Vec<Tok<'_>>, ParseError> {
+/// bare backslashes, characters outside the structural subset, and
+/// sources too long for 32-bit offsets.
+pub(super) fn tokenize(src: &str) -> Result<Vec<Tok>, ParseError> {
     let bytes = src.as_bytes();
+    let n = bytes.len();
+    if u32::try_from(n).is_err() {
+        return Err(ParseError::at(src, 1, 1, "source exceeds 4 GiB".into()));
+    }
     let mut toks = Vec::new();
     let mut i = 0usize;
-    let mut line = 1usize;
-    let mut col = 1usize;
+    let ident_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'$';
+    let tok = |kind, start: usize, end: usize| Tok {
+        kind,
+        start: start as u32,
+        end: end as u32,
+    };
 
-    macro_rules! bump {
-        () => {{
-            if bytes[i] == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
-        }};
-    }
-
-    while i < bytes.len() {
+    while i < n {
         let c = bytes[i];
         match c {
-            b' ' | b'\t' | b'\r' | b'\n' => bump!(),
-            b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
-                }
-            }
+            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+            b'/' if bytes.get(i + 1) == Some(&b'/') => i = line_end(bytes, i),
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let (sl, sc) = (line, col);
-                bump!();
-                bump!();
+                let start = i;
+                i += 2;
                 loop {
-                    if i + 1 >= bytes.len() {
-                        return Err(ParseError::at(
+                    if i + 1 >= n {
+                        return Err(ParseError::at_offset(
                             src,
-                            sl,
-                            sc,
+                            start,
                             "unterminated block comment".into(),
                         ));
                     }
                     if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        bump!();
-                        bump!();
+                        i += 2;
                         break;
                     }
-                    bump!();
+                    i += 1;
                 }
             }
-            b'`' => {
-                // Compiler directive (`timescale, `define...): skip the line.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
-                }
-            }
+            // Compiler directive (`timescale, `define...): skip the line.
+            b'`' => i = line_end(bytes, i),
             b'\\' => {
                 // Escaped identifier: backslash to next whitespace.
-                let (sl, sc) = (line, col);
-                bump!();
                 let start = i;
-                while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-                    bump!();
+                i += 1;
+                while i < n && !bytes[i].is_ascii_whitespace() {
+                    i += 1;
                 }
-                if i == start {
-                    return Err(ParseError::at(
+                if i == start + 1 {
+                    return Err(ParseError::at_offset(
                         src,
-                        sl,
-                        sc,
+                        start,
                         "escaped identifier `\\` must be followed by a name".into(),
                     ));
                 }
-                toks.push(Tok {
-                    kind: TokKind::Ident {
-                        text: &src[start..i],
-                        escaped: true,
-                    },
-                    line: sl,
-                    col: sc,
-                });
+                toks.push(tok(TokKind::Escaped, start, i));
             }
             b'0'..=b'9' => {
-                let (sl, sc) = (line, col);
                 let start = i;
                 // Number with optional based literal: digits ['\'' base digits].
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    bump!();
+                while i < n && bytes[i].is_ascii_digit() {
+                    i += 1;
                 }
-                if i < bytes.len() && bytes[i] == b'\'' {
-                    bump!();
-                    if i < bytes.len() && bytes[i].is_ascii_alphabetic() {
-                        bump!();
+                if i < n && bytes[i] == b'\'' {
+                    i += 1;
+                    if i < n && bytes[i].is_ascii_alphabetic() {
+                        i += 1;
                     }
-                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        bump!();
+                    while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                        i += 1;
                     }
                 }
-                toks.push(Tok {
-                    kind: TokKind::Number(&src[start..i]),
-                    line: sl,
-                    col: sc,
-                });
+                toks.push(tok(TokKind::Number, start, i));
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
-                let (sl, sc) = (line, col);
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
-                {
-                    bump!();
+                while i < n && ident_byte(bytes[i]) {
+                    i += 1;
                 }
-                toks.push(Tok {
-                    kind: TokKind::Ident {
-                        text: &src[start..i],
-                        escaped: false,
-                    },
-                    line: sl,
-                    col: sc,
-                });
+                toks.push(tok(TokKind::Ident, start, i));
             }
-            _ if SYMBOLS.contains(&(c as char)) => {
-                toks.push(Tok {
-                    kind: TokKind::Sym(c as char),
-                    line,
-                    col,
-                });
-                bump!();
+            b'(' | b')' | b';' | b',' | b'.' | b'=' | b'~' | b'&' | b'|' | b'^' | b'?' | b':'
+            | b'[' | b']' | b'#' | b'{' | b'}' | b'*' | b'/' | b'@' | b'<' | b'>' | b'+' | b'-' => {
+                toks.push(tok(TokKind::Sym(c), i, i + 1));
+                i += 1;
             }
             _ => {
-                return Err(ParseError::at(
+                return Err(ParseError::at_offset(
                     src,
-                    line,
-                    col,
+                    i,
                     format!("unexpected character `{}`", c as char),
                 ));
             }
         }
     }
-    toks.push(Tok {
-        kind: TokKind::Eof,
-        line,
-        col,
-    });
+    toks.push(tok(TokKind::Eof, n, n));
     Ok(toks)
+}
+
+/// The offset of the `\n` ending the line that holds `i` (or the end of
+/// input).
+fn line_end(bytes: &[u8], i: usize) -> usize {
+    bytes[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |p| i + p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokKind<'_>> {
-        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
+    fn kinds(src: &str) -> Vec<(TokKind, &str)> {
+        tokenize(src)
+            .unwrap()
+            .into_iter()
+            .map(|t| (t.kind, t.text(src)))
+            .collect()
+    }
+
+    #[test]
+    fn tokens_are_small() {
+        assert!(std::mem::size_of::<Tok>() <= 16);
     }
 
     #[test]
     fn lexes_idents_numbers_symbols() {
         let k = kinds("module m (a); assign y = 1'b0; endmodule");
-        assert!(k.contains(&TokKind::Ident {
-            text: "module",
-            escaped: false
-        }));
-        assert!(k.contains(&TokKind::Number("1'b0")));
-        assert!(k.contains(&TokKind::Sym(';')));
-        assert_eq!(*k.last().unwrap(), TokKind::Eof);
+        assert!(k.contains(&(TokKind::Ident, "module")));
+        assert!(k.contains(&(TokKind::Number, "1'b0")));
+        assert!(k.contains(&(TokKind::Sym(b';'), ";")));
+        assert_eq!(k.last().unwrap().0, TokKind::Eof);
     }
 
     #[test]
     fn escaped_identifier_keeps_flag_and_strips_backslash() {
         let k = kinds("wire \\d[0] ;");
-        assert!(k.contains(&TokKind::Ident {
-            text: "d[0]",
-            escaped: true
-        }));
+        assert!(k.contains(&(TokKind::Escaped, "d[0]")));
     }
 
     #[test]
@@ -234,34 +204,21 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokKind::Ident {
-                    text: "wire",
-                    escaped: false
-                },
-                TokKind::Ident {
-                    text: "a",
-                    escaped: false
-                },
-                TokKind::Sym(';'),
-                TokKind::Eof,
+                (TokKind::Ident, "wire"),
+                (TokKind::Ident, "a"),
+                (TokKind::Sym(b';'), ";"),
+                (TokKind::Eof, ""),
             ]
         );
     }
 
     #[test]
     fn tracks_line_and_column() {
-        let toks = tokenize("wire a;\n  wire b;").unwrap();
-        let b = toks
-            .iter()
-            .find(|t| {
-                t.kind
-                    == TokKind::Ident {
-                        text: "b",
-                        escaped: false,
-                    }
-            })
-            .unwrap();
-        assert_eq!((b.line, b.col), (2, 8));
+        let src = "wire a;\n  wire b;";
+        let toks = tokenize(src).unwrap();
+        let b = toks.iter().find(|t| t.text(src) == "b").unwrap();
+        let e = ParseError::at_offset(src, b.start as usize, String::new());
+        assert_eq!((e.line, e.col), (2, 8));
     }
 
     #[test]

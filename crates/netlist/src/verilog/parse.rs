@@ -20,14 +20,15 @@
 
 use super::error::ParseError;
 use super::lexer::{tokenize, Tok, TokKind};
+use std::ops::Range;
 
 /// An identifier occurrence in the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Ident<'a> {
     pub text: &'a str,
     pub escaped: bool,
-    pub line: usize,
-    pub col: usize,
+    /// Byte offset of the identifier (its backslash, when escaped).
+    pub pos: u32,
 }
 
 /// A parsed (not yet elaborated) module.
@@ -39,8 +40,13 @@ pub(super) struct SourceModule<'a> {
     pub outputs: Vec<Ident<'a>>,
     pub wires: Vec<Ident<'a>>,
     pub items: Vec<Item<'a>>,
-    pub line: usize,
-    pub col: usize,
+    /// Every instance's `.PIN(net)` pairs, back to back; an instance
+    /// holds its range. `None` nets are explicitly unconnected pins.
+    pub named: Vec<(Ident<'a>, Option<Ident<'a>>)>,
+    /// Every primitive instance's positional nets, back to back.
+    pub positional: Vec<Ident<'a>>,
+    /// Byte offset of the `module` keyword.
+    pub pos: u32,
 }
 
 #[derive(Debug)]
@@ -48,24 +54,22 @@ pub(super) enum Item<'a> {
     Assign {
         lhs: Ident<'a>,
         rhs: Expr<'a>,
-        line: usize,
-        col: usize,
+        pos: u32,
     },
     Instance {
         master: Ident<'a>,
         inst: Option<Ident<'a>>,
-        conns: Conns<'a>,
-        line: usize,
-        col: usize,
+        conns: Conns,
     },
 }
 
 #[derive(Debug)]
-pub(super) enum Conns<'a> {
-    /// `.PIN(net)` pairs; `None` nets are explicitly unconnected pins.
-    Named(Vec<(Ident<'a>, Option<Ident<'a>>)>),
-    /// Positional nets (gate primitives only): output first.
-    Positional(Vec<Ident<'a>>),
+pub(super) enum Conns {
+    /// A range of [`SourceModule::named`].
+    Named(Range<usize>),
+    /// A range of [`SourceModule::positional`] (gate primitives only):
+    /// output first.
+    Positional(Range<usize>),
 }
 
 #[derive(Debug)]
@@ -112,16 +116,16 @@ const UNSUPPORTED_DECLS: &[&str] = &[
 
 struct Parser<'a> {
     src: &'a str,
-    toks: Vec<Tok<'a>>,
+    toks: Vec<Tok>,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> Tok<'a> {
+    fn peek(&self) -> Tok {
         self.toks[self.pos]
     }
 
-    fn next(&mut self) -> Tok<'a> {
+    fn next(&mut self) -> Tok {
         let t = self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
@@ -129,56 +133,77 @@ impl<'a> Parser<'a> {
         t
     }
 
-    fn err(&self, tok: Tok<'a>, message: String) -> ParseError {
-        ParseError::at(self.src, tok.line, tok.col, message)
+    fn err(&self, tok: Tok, message: String) -> ParseError {
+        ParseError::at_offset(self.src, tok.start as usize, message)
     }
 
-    fn expect_sym(&mut self, sym: char, what: &str) -> Result<(), ParseError> {
+    /// The identifier `tok` holds, if it is one.
+    fn ident(&self, tok: Tok) -> Option<Ident<'a>> {
+        let escaped = match tok.kind {
+            TokKind::Ident => false,
+            TokKind::Escaped => true,
+            _ => return None,
+        };
+        Some(Ident {
+            text: tok.text(self.src),
+            escaped,
+            pos: tok.start,
+        })
+    }
+
+    /// The text of `tok` when it is a simple (unescaped) identifier.
+    fn keyword(&self, tok: Tok) -> Option<&'a str> {
+        (tok.kind == TokKind::Ident).then(|| tok.text(self.src))
+    }
+
+    fn expect_sym(&mut self, sym: u8, what: &str) -> Result<(), ParseError> {
         let t = self.next();
         match t.kind {
             TokKind::Sym(c) if c == sym => Ok(()),
             _ => Err(self.err(
                 t,
-                format!("expected `{sym}` {what}, found {}", t.kind.describe()),
+                format!(
+                    "expected `{}` {what}, found {}",
+                    sym as char,
+                    t.describe(self.src)
+                ),
             )),
         }
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<Ident<'a>, ParseError> {
         let t = self.next();
-        match t.kind {
-            TokKind::Ident { text, escaped } => Ok(Ident {
-                text,
-                escaped,
-                line: t.line,
-                col: t.col,
-            }),
-            _ => Err(self.err(t, format!("expected {what}, found {}", t.kind.describe()))),
-        }
+        self.ident(t).ok_or_else(|| {
+            self.err(
+                t,
+                format!("expected {what}, found {}", t.describe(self.src)),
+            )
+        })
     }
 
-    fn at_sym(&self, sym: char) -> bool {
-        matches!(self.peek().kind, TokKind::Sym(c) if c == sym)
+    fn at_sym(&self, sym: u8) -> bool {
+        self.peek().kind == TokKind::Sym(sym)
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek().kind, TokKind::Ident { text, escaped: false } if text == kw)
+        self.keyword(self.peek()) == Some(kw)
     }
 
-    /// `ident {"," ident}` until (but not consuming) `;` or `)`.
-    fn ident_list(&mut self, what: &str) -> Result<Vec<Ident<'a>>, ParseError> {
-        let mut out = vec![self.named_ident(what)?];
-        while self.at_sym(',') {
+    /// `ident {"," ident}` until (but not consuming) `;` or `)`,
+    /// appended to `out`.
+    fn ident_list(&mut self, what: &str, out: &mut Vec<Ident<'a>>) -> Result<(), ParseError> {
+        out.push(self.named_ident(what)?);
+        while self.at_sym(b',') {
             self.next();
             out.push(self.named_ident(what)?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// An identifier in declaration position; a `[` here means a vector
     /// range, which the flat importer rejects with a targeted message.
     fn named_ident(&mut self, what: &str) -> Result<Ident<'a>, ParseError> {
-        if self.at_sym('[') {
+        if self.at_sym(b'[') {
             let t = self.peek();
             return Err(self.err(
                 t,
@@ -191,18 +216,20 @@ impl<'a> Parser<'a> {
     fn parse_module(&mut self) -> Result<SourceModule<'a>, ParseError> {
         let t = self.peek();
         if !self.at_keyword("module") {
-            return Err(self.err(t, format!("expected `module`, found {}", t.kind.describe())));
+            return Err(self.err(
+                t,
+                format!("expected `module`, found {}", t.describe(self.src)),
+            ));
         }
-        let (mline, mcol) = (t.line, t.col);
         self.next();
         let name = self.expect_ident("a module name")?;
         let mut header_ports = Vec::new();
-        self.expect_sym('(', "after the module name")?;
-        if !self.at_sym(')') {
-            header_ports = self.ident_list("a port name")?;
+        self.expect_sym(b'(', "after the module name")?;
+        if !self.at_sym(b')') {
+            self.ident_list("a port name", &mut header_ports)?;
         }
-        self.expect_sym(')', "to close the port list")?;
-        self.expect_sym(';', "after the module header")?;
+        self.expect_sym(b')', "to close the port list")?;
+        self.expect_sym(b';', "after the module header")?;
 
         let mut module = SourceModule {
             name,
@@ -211,25 +238,21 @@ impl<'a> Parser<'a> {
             outputs: Vec::new(),
             wires: Vec::new(),
             items: Vec::new(),
-            line: mline,
-            col: mcol,
+            named: Vec::new(),
+            positional: Vec::new(),
+            pos: t.start,
         };
 
         loop {
             let t = self.peek();
-            match t.kind {
-                TokKind::Eof => {
-                    return Err(self.err(t, "missing `endmodule`".into()));
-                }
-                TokKind::Ident {
-                    text: "endmodule",
-                    escaped: false,
-                } => {
-                    self.next();
-                    break;
-                }
-                _ => self.parse_stmt(&mut module)?,
+            if t.kind == TokKind::Eof {
+                return Err(self.err(t, "missing `endmodule`".into()));
             }
+            if self.keyword(t) == Some("endmodule") {
+                self.next();
+                break;
+            }
+            self.parse_stmt(&mut module)?;
         }
 
         // Anything after `endmodule` (a second module, stray text) is out
@@ -247,15 +270,12 @@ impl<'a> Parser<'a> {
     fn parse_stmt(&mut self, module: &mut SourceModule<'a>) -> Result<(), ParseError> {
         let t = self.peek();
         let kw = match t.kind {
-            TokKind::Ident {
-                text,
-                escaped: false,
-            } => text,
-            TokKind::Ident { escaped: true, .. } => "",
+            TokKind::Ident => t.text(self.src),
+            TokKind::Escaped => "",
             _ => {
                 return Err(self.err(
                     t,
-                    format!("expected a statement, found {}", t.kind.describe()),
+                    format!("expected a statement, found {}", t.describe(self.src)),
                 ));
             }
         };
@@ -274,33 +294,29 @@ impl<'a> Parser<'a> {
         match kw {
             "input" => {
                 self.next();
-                let names = self.ident_list("an input port name")?;
-                self.expect_sym(';', "after the input declaration")?;
-                module.inputs.extend(names);
+                self.ident_list("an input port name", &mut module.inputs)?;
+                self.expect_sym(b';', "after the input declaration")?;
             }
             "output" => {
                 self.next();
-                let names = self.ident_list("an output port name")?;
-                self.expect_sym(';', "after the output declaration")?;
-                module.outputs.extend(names);
+                self.ident_list("an output port name", &mut module.outputs)?;
+                self.expect_sym(b';', "after the output declaration")?;
             }
             "wire" => {
                 self.next();
-                let names = self.ident_list("a wire name")?;
-                self.expect_sym(';', "after the wire declaration")?;
-                module.wires.extend(names);
+                self.ident_list("a wire name", &mut module.wires)?;
+                self.expect_sym(b';', "after the wire declaration")?;
             }
             "assign" => {
                 self.next();
                 let lhs = self.named_ident("a net name")?;
-                self.expect_sym('=', "in the assignment")?;
+                self.expect_sym(b'=', "in the assignment")?;
                 let rhs = self.parse_expr()?;
-                self.expect_sym(';', "after the assignment")?;
+                self.expect_sym(b';', "after the assignment")?;
                 module.items.push(Item::Assign {
                     lhs,
                     rhs,
-                    line: t.line,
-                    col: t.col,
+                    pos: t.start,
                 });
             }
             _ => self.parse_instance(module)?,
@@ -311,18 +327,19 @@ impl<'a> Parser<'a> {
     fn parse_instance(&mut self, module: &mut SourceModule<'a>) -> Result<(), ParseError> {
         let master = self.expect_ident("a cell name")?;
         let primitive = !master.escaped && PRIMITIVES.contains(&master.text);
-        let inst = if self.at_sym('(') {
+        let inst = if self.at_sym(b'(') {
             None
         } else {
             Some(self.expect_ident("an instance name")?)
         };
-        self.expect_sym('(', "to open the connection list")?;
+        self.expect_sym(b'(', "to open the connection list")?;
         let conns = if primitive {
-            let nets = self.ident_list("a net")?;
-            Conns::Positional(nets)
+            let start = module.positional.len();
+            self.ident_list("a net", &mut module.positional)?;
+            Conns::Positional(start..module.positional.len())
         } else {
             let t = self.peek();
-            if !self.at_sym('.') {
+            if !self.at_sym(b'.') {
                 return Err(self.err(
                     t,
                     format!(
@@ -332,34 +349,32 @@ impl<'a> Parser<'a> {
                     ),
                 ));
             }
-            let mut pairs = Vec::new();
+            let start = module.named.len();
             loop {
-                self.expect_sym('.', "before the pin name")?;
+                self.expect_sym(b'.', "before the pin name")?;
                 let pin = self.expect_ident("a pin name")?;
-                self.expect_sym('(', "after the pin name")?;
-                let net = if self.at_sym(')') {
+                self.expect_sym(b'(', "after the pin name")?;
+                let net = if self.at_sym(b')') {
                     None
                 } else {
                     Some(self.named_ident("a net")?)
                 };
-                self.expect_sym(')', "to close the pin connection")?;
-                pairs.push((pin, net));
-                if self.at_sym(',') {
+                self.expect_sym(b')', "to close the pin connection")?;
+                module.named.push((pin, net));
+                if self.at_sym(b',') {
                     self.next();
                 } else {
                     break;
                 }
             }
-            Conns::Named(pairs)
+            Conns::Named(start..module.named.len())
         };
-        self.expect_sym(')', "to close the connection list")?;
-        self.expect_sym(';', "after the instance")?;
+        self.expect_sym(b')', "to close the connection list")?;
+        self.expect_sym(b';', "after the instance")?;
         module.items.push(Item::Instance {
             master,
             inst,
             conns,
-            line: master.line,
-            col: master.col,
         });
         Ok(())
     }
@@ -367,36 +382,36 @@ impl<'a> Parser<'a> {
     fn parse_expr(&mut self) -> Result<Expr<'a>, ParseError> {
         let t = self.peek();
         match t.kind {
-            TokKind::Number(n) => {
+            TokKind::Number => {
                 self.next();
-                match n {
+                match t.text(self.src) {
                     "1'b0" | "1'h0" | "1'd0" => Ok(Expr::Const(false)),
                     "1'b1" | "1'h1" | "1'd1" => Ok(Expr::Const(true)),
-                    _ => Err(self.err(t, format!("unsupported literal `{n}` (only 1'b0 / 1'b1)"))),
+                    n => Err(self.err(t, format!("unsupported literal `{n}` (only 1'b0 / 1'b1)"))),
                 }
             }
-            TokKind::Sym('~') => {
+            TokKind::Sym(b'~') => {
                 self.next();
-                if self.at_sym('(') {
+                if self.at_sym(b'(') {
                     self.next();
                     let a = self.expect_ident("a net")?;
                     let op = self.binop()?;
                     let b = self.expect_ident("a net")?;
-                    self.expect_sym(')', "to close the inverted expression")?;
+                    self.expect_sym(b')', "to close the inverted expression")?;
                     Ok(Expr::NegBin { op, a, b })
                 } else {
                     Ok(Expr::Inv(self.expect_ident("a net")?))
                 }
             }
-            TokKind::Ident { .. } => {
+            TokKind::Ident | TokKind::Escaped => {
                 let first = self.expect_ident("a net")?;
                 let t = self.peek();
                 match t.kind {
-                    TokKind::Sym(op @ ('&' | '|' | '^')) => {
+                    TokKind::Sym(op @ (b'&' | b'|' | b'^')) => {
                         self.next();
                         let second = self.expect_ident("a net")?;
                         let mut terms = vec![first, second];
-                        while let TokKind::Sym(next_op @ ('&' | '|' | '^')) = self.peek().kind {
+                        while let TokKind::Sym(next_op @ (b'&' | b'|' | b'^')) = self.peek().kind {
                             let t2 = self.peek();
                             if next_op != op {
                                 return Err(self.err(
@@ -416,12 +431,15 @@ impl<'a> Parser<'a> {
                                 ),
                             ));
                         }
-                        Ok(Expr::Bin { op, terms })
+                        Ok(Expr::Bin {
+                            op: op as char,
+                            terms,
+                        })
                     }
-                    TokKind::Sym('?') => {
+                    TokKind::Sym(b'?') => {
                         self.next();
                         let tt = self.expect_ident("a net")?;
-                        self.expect_sym(':', "in the conditional expression")?;
+                        self.expect_sym(b':', "in the conditional expression")?;
                         let ff = self.expect_ident("a net")?;
                         Ok(Expr::Mux {
                             sel: first,
@@ -434,7 +452,7 @@ impl<'a> Parser<'a> {
             }
             _ => Err(self.err(
                 t,
-                format!("expected an expression, found {}", t.kind.describe()),
+                format!("expected an expression, found {}", t.describe(self.src)),
             )),
         }
     }
@@ -442,10 +460,10 @@ impl<'a> Parser<'a> {
     fn binop(&mut self) -> Result<char, ParseError> {
         let t = self.next();
         match t.kind {
-            TokKind::Sym(op @ ('&' | '|' | '^')) => Ok(op),
+            TokKind::Sym(op @ (b'&' | b'|' | b'^')) => Ok(op as char),
             _ => Err(self.err(
                 t,
-                format!("expected `&`, `|` or `^`, found {}", t.kind.describe()),
+                format!("expected `&`, `|` or `^`, found {}", t.describe(self.src)),
             )),
         }
     }
@@ -485,7 +503,8 @@ mod tests {
                 assert_eq!(master.text, "SDFF");
                 assert_eq!(inst.unwrap().text, "r0");
                 match conns {
-                    Conns::Named(pairs) => {
+                    Conns::Named(range) => {
+                        let pairs = &m.named[range.clone()];
                         assert_eq!(pairs.len(), 4);
                         assert!(pairs[2].1.is_none(), "SI is unconnected");
                     }
@@ -503,7 +522,7 @@ mod tests {
             Item::Instance { master, conns, .. } => {
                 assert_eq!(master.text, "nand");
                 match conns {
-                    Conns::Positional(nets) => assert_eq!(nets.len(), 3),
+                    Conns::Positional(range) => assert_eq!(range.len(), 3),
                     Conns::Named(_) => panic!("positional expected"),
                 }
             }

@@ -90,6 +90,11 @@ fn round_trips_every_gate_kind() {
 
 #[test]
 fn round_trips_escaped_and_pattern_names() {
+    round_trip(&tricky_netlist());
+}
+
+/// Escaped bus names and nets named like anonymous-id patterns.
+fn tricky_netlist() -> Netlist {
     let mut b = NetlistBuilder::new("tricky");
     let d = b.input_bus("d", 3); // escaped names d[0]..d[2]
     let x = b.xor2(d[0], d[1]);
@@ -100,7 +105,7 @@ fn round_trips_escaped_and_pattern_names() {
     let y = b.and2(g_pat, d[2]);
     b.output_bus("q", &[y, x]);
     b.output("plain", g_pat);
-    round_trip(&b.finish().unwrap());
+    b.finish().unwrap()
 }
 
 #[test]
@@ -265,6 +270,58 @@ fn golden_fixture_wire_order_fixes_net_ids() {
     assert_eq!(nl.net_name(NetId::from_index(6)), Some("se"));
 }
 
+// ------------------------------------------------------------ port aliases
+
+/// Cell kinds and `(output port, net index)` pairs of an import.
+fn alias_shape(src: &str) -> (Vec<GateKind>, Vec<(String, usize)>) {
+    let nl = from_verilog(src).unwrap_or_else(|e| panic!("{e}"));
+    let kinds = nl.cells().map(|(_, c)| c.kind()).collect();
+    let outs = nl
+        .output_ports()
+        .iter()
+        .map(|(name, net)| (name.clone(), net.index()))
+        .collect();
+    (kinds, outs)
+}
+
+#[test]
+fn output_aliases_need_one_unreferenced_bare_assign() {
+    let port = |name: &str, net| (name.to_owned(), net);
+    // `y` feeds a cell, so its assign is a buffer.
+    let (kinds, outs) = alias_shape(
+        "module m (a, y, z);\ninput a;\noutput y;\noutput z;\n\
+         assign y = a;\nINV g0 (.Y(z), .A(y));\nendmodule\n",
+    );
+    assert_eq!(kinds, [GateKind::Buf, GateKind::Not]);
+    assert_eq!(outs, [port("y", 1), port("z", 2)]);
+    // `y` feeds `w`'s assign: a buffer; `w` aliases the net `y`.
+    let (kinds, outs) = alias_shape(
+        "module m (a, y, w);\ninput a;\noutput y;\noutput w;\n\
+         assign y = a;\nassign w = y;\nendmodule\n",
+    );
+    assert_eq!(kinds, [GateKind::Buf]);
+    assert_eq!(outs, [port("y", 1), port("w", 1)]);
+    // A non-bare assign is never an alias, but a bare one reading it is.
+    let (kinds, outs) = alias_shape(
+        "module m (a, y, z);\ninput a;\noutput y;\noutput z;\n\
+         assign y = ~a;\nassign z = y;\nendmodule\n",
+    );
+    assert_eq!(kinds, [GateKind::Not]);
+    assert_eq!(outs, [port("y", 1), port("z", 1)]);
+    // A reference after the assign still counts.
+    let (kinds, outs) = alias_shape(
+        "module m (a, y, w);\ninput a;\noutput y;\noutput w;\n\
+         assign w = y;\nassign y = a;\nBUF b1 (.Y(n7), .A(w));\nendmodule\n",
+    );
+    assert_eq!(kinds, [GateKind::Buf, GateKind::Buf, GateKind::Buf]);
+    assert_eq!(outs, [port("y", 1), port("w", 2)]);
+    // An output also declared as a wire is a buffered net.
+    let (kinds, outs) =
+        alias_shape("module m (a, y);\ninput a;\noutput y;\nwire y;\nassign y = a;\nendmodule\n");
+    assert_eq!(kinds, [GateKind::Buf]);
+    assert_eq!(outs, [port("y", 0)]);
+}
+
 // ------------------------------------------------------------ sky130 input
 
 const SKY130: &str = "\
@@ -333,6 +390,45 @@ fn sky130_fixture_maps_aliases() {
 
 // ------------------------------------------------------------- golden errors
 
+const ERR_UNKNOWN_CELL: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire y;\nAND9 g0 (.Y(y), .A(a));\nendmodule";
+const ERR_UNKNOWN_PIN: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Z(y), .A(a));\nendmodule";
+const ERR_MULTIPLE_DRIVERS: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(y), .A(a));\nBUF g1 (.Y(y), .A(a));\nendmodule";
+const ERR_DRIVES_INPUT_PORT: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(a), .A(y));\nendmodule";
+const ERR_UNDRIVEN_OUTPUT: &str = "module m (a, y);\ninput a;\noutput y;\nendmodule";
+const ERR_UNDRIVEN_WIRE: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire w;\nwire y;\nAND2 g0 (.Y(y), .A(a), .B(w));\nendmodule";
+const ERR_COMBINATIONAL_LOOP: &str =
+    "module m (y);\noutput y;\nwire x;\nwire y;\nINV g0 (.Y(x), .A(y));\nINV g1 (.Y(y), .A(x));\nendmodule";
+const ERR_RESERVED_IDENTIFIER: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire clk;\nBUF g0 (.Y(clk), .A(a));\nBUF g1 (.Y(y), .A(clk));\nendmodule";
+const ERR_DUPLICATE_WIRE: &str = "module m (a);\ninput a;\nwire w;\nwire w;\nendmodule";
+const ERR_PIN_CONNECTED_TWICE: &str =
+    "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.A(a), .A(a), .Y(y));\nendmodule";
+const ERR_UNDECLARED_HEADER_PORT: &str = "module m (a, ghost);\ninput a;\nendmodule";
+const ERR_PORT_MISSING_FROM_HEADER: &str = "module m (a);\ninput a;\ninput b;\nendmodule";
+const ERR_DUPLICATE_PORT: &str = "module m (a, a);\ninput a;\nendmodule";
+
+/// Every golden-error source, in test order.
+const GOLDEN_ERRORS: &[(&str, &str)] = &[
+    ("unknown_cell", ERR_UNKNOWN_CELL),
+    ("unknown_pin", ERR_UNKNOWN_PIN),
+    ("multiple_drivers", ERR_MULTIPLE_DRIVERS),
+    ("drives_input_port", ERR_DRIVES_INPUT_PORT),
+    ("undriven_output", ERR_UNDRIVEN_OUTPUT),
+    ("undriven_wire", ERR_UNDRIVEN_WIRE),
+    ("combinational_loop", ERR_COMBINATIONAL_LOOP),
+    ("reserved_identifier", ERR_RESERVED_IDENTIFIER),
+    ("duplicate_wire", ERR_DUPLICATE_WIRE),
+    ("pin_connected_twice", ERR_PIN_CONNECTED_TWICE),
+    ("undeclared_header_port", ERR_UNDECLARED_HEADER_PORT),
+    ("port_missing_from_header", ERR_PORT_MISSING_FROM_HEADER),
+    ("duplicate_port", ERR_DUPLICATE_PORT),
+];
+
 /// Asserts `src` fails with a message containing `needle` at `line`.
 fn assert_error(src: &str, needle: &str, line: usize) {
     let e = from_verilog(src).unwrap_err();
@@ -347,73 +443,45 @@ fn assert_error(src: &str, needle: &str, line: usize) {
 
 #[test]
 fn golden_error_unknown_cell() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nAND9 g0 (.Y(y), .A(a));\nendmodule",
-        "unknown cell `AND9`",
-        5,
-    );
+    assert_error(ERR_UNKNOWN_CELL, "unknown cell `AND9`", 5);
 }
 
 #[test]
 fn golden_error_unknown_pin() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Z(y), .A(a));\nendmodule",
-        "has no pin `Z`",
-        5,
-    );
+    assert_error(ERR_UNKNOWN_PIN, "has no pin `Z`", 5);
 }
 
 #[test]
 fn golden_error_multiple_drivers() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(y), .A(a));\nBUF g1 (.Y(y), .A(a));\nendmodule",
-        "more than one driver",
-        6,
-    );
+    assert_error(ERR_MULTIPLE_DRIVERS, "more than one driver", 6);
 }
 
 #[test]
 fn golden_error_drives_input_port() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.Y(a), .A(y));\nendmodule",
-        "drives the input port",
-        5,
-    );
+    assert_error(ERR_DRIVES_INPUT_PORT, "drives the input port", 5);
 }
 
 #[test]
 fn golden_error_undriven_output() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nendmodule",
-        "output port `y` is never driven",
-        3,
-    );
+    assert_error(ERR_UNDRIVEN_OUTPUT, "output port `y` is never driven", 3);
 }
 
 #[test]
 fn golden_error_undriven_wire() {
     // The floating wire is caught by revalidate and reported at the
     // module declaration.
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire w;\nwire y;\nAND2 g0 (.Y(y), .A(a), .B(w));\nendmodule",
-        "has no driver",
-        1,
-    );
+    assert_error(ERR_UNDRIVEN_WIRE, "has no driver", 1);
 }
 
 #[test]
 fn golden_error_combinational_loop() {
-    assert_error(
-        "module m (y);\noutput y;\nwire x;\nwire y;\nINV g0 (.Y(x), .A(y));\nINV g1 (.Y(y), .A(x));\nendmodule",
-        "combinational loop",
-        1,
-    );
+    assert_error(ERR_COMBINATIONAL_LOOP, "combinational loop", 1);
 }
 
 #[test]
 fn golden_error_reserved_identifier() {
     assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire clk;\nBUF g0 (.Y(clk), .A(a));\nBUF g1 (.Y(y), .A(clk));\nendmodule",
+        ERR_RESERVED_IDENTIFIER,
         "reserved for the implicit clock",
         4,
     );
@@ -421,35 +489,23 @@ fn golden_error_reserved_identifier() {
 
 #[test]
 fn golden_error_duplicate_wire() {
-    assert_error(
-        "module m (a);\ninput a;\nwire w;\nwire w;\nendmodule",
-        "declared twice",
-        4,
-    );
+    assert_error(ERR_DUPLICATE_WIRE, "declared twice", 4);
 }
 
 #[test]
 fn golden_error_pin_connected_twice() {
-    assert_error(
-        "module m (a, y);\ninput a;\noutput y;\nwire y;\nINV g0 (.A(a), .A(a), .Y(y));\nendmodule",
-        "pin `A` connected twice",
-        5,
-    );
+    assert_error(ERR_PIN_CONNECTED_TWICE, "pin `A` connected twice", 5);
 }
 
 #[test]
 fn golden_error_undeclared_header_port() {
-    assert_error(
-        "module m (a, ghost);\ninput a;\nendmodule",
-        "no direction declaration",
-        1,
-    );
+    assert_error(ERR_UNDECLARED_HEADER_PORT, "no direction declaration", 1);
 }
 
 #[test]
 fn golden_error_port_missing_from_header() {
     assert_error(
-        "module m (a);\ninput a;\ninput b;\nendmodule",
+        ERR_PORT_MISSING_FROM_HEADER,
         "missing from the module port list",
         3,
     );
@@ -457,11 +513,7 @@ fn golden_error_port_missing_from_header() {
 
 #[test]
 fn golden_error_duplicate_port() {
-    assert_error(
-        "module m (a, a);\ninput a;\nendmodule",
-        "duplicate port `a`",
-        1,
-    );
+    assert_error(ERR_DUPLICATE_PORT, "duplicate port `a`", 1);
 }
 
 // --------------------------------------------------------------------- fuzz
@@ -566,4 +618,110 @@ fn identifier_mangling_keeps_errors_located() {
     let mutated = base.replacen("XOR2", "XYZ2", 1);
     let e = from_verilog(&mutated).unwrap_err();
     assert!(e.message.contains("unknown cell"), "{e}");
+}
+
+// ------------------------------------------------------------- error corpus
+
+/// Hand-written inputs that pin how positions are counted: a lexical
+/// error on line 5 must beat a syntax error on line 2 (the whole file
+/// is tokenized before parsing), columns count bytes (a tab or a
+/// multi-byte character is one column per byte), `\r` is an ordinary
+/// column, and an error at end of input past the last line has an empty
+/// snippet.
+const ERROR_CORPUS_EXTRA: &[(&str, &str)] = &[
+    (
+        "lexical_beats_syntax",
+        "module m (a);\ninput a wire b;\nwire c;\nwire d;\nwire e % f;\nendmodule\n",
+    ),
+    (
+        "crlf_tab_non_ascii",
+        "module m (a);\r\n\tinput a;\r\n\twire \u{e9};\r\nendmodule\r\n",
+    ),
+    (
+        "unterminated_block_comment",
+        "module m (a);\ninput a;\n  /* never\n   closed\n",
+    ),
+    ("eof_after_last_line", "module m (a);\ninput a;\n"),
+    (
+        "bare_backslash",
+        "module m (a);\n\tinput \\ a;\nendmodule\n",
+    ),
+    (
+        "escaped_error_position",
+        "module m (a);\ninput a;\nwire \\clk ;\n  \\AND9  \\g0  (.Y(\\clk ), .A(a));\nendmodule\n",
+    ),
+];
+
+/// Every input of the error corpus, labelled: each 37th-byte truncation
+/// of four valid sources, the golden-error sources and
+/// [`ERROR_CORPUS_EXTRA`].
+fn error_corpus() -> Vec<(String, String)> {
+    let chain4 = include_str!("../../../../tests/fixtures/scan_chain4.v");
+    let bases = [
+        ("scan_chain4.v", chain4.to_owned()),
+        ("sky130", SKY130.to_owned()),
+        ("fuzz_base", fuzz_base()),
+        ("tricky", to_verilog(&tricky_netlist())),
+    ];
+    let mut corpus = Vec::new();
+    for (label, text) in &bases {
+        for end in (0..text.len()).step_by(37) {
+            corpus.push((format!("{label}[..{end}]"), text[..end].to_owned()));
+        }
+    }
+    for (label, src) in GOLDEN_ERRORS.iter().chain(ERROR_CORPUS_EXTRA) {
+        corpus.push(((*label).to_owned(), (*src).to_owned()));
+    }
+    corpus
+}
+
+/// The corpus rendered as the fixture stores it: a `=== label` line,
+/// then the full [`ParseError`] display (or a one-line `ok` summary).
+fn render_error_corpus() -> String {
+    let mut out = String::new();
+    for (label, src) in error_corpus() {
+        out.push_str(&format!("=== {label}\n"));
+        match from_verilog(&src) {
+            Ok(nl) => out.push_str(&format!(
+                "ok: {} nets, {} cells\n",
+                nl.net_count(),
+                nl.cell_count()
+            )),
+            Err(e) => out.push_str(&format!("{e}\n")),
+        }
+    }
+    out
+}
+
+fn error_corpus_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/import_errors.txt")
+}
+
+/// Pins every error's message, line, column and snippet byte for byte.
+#[test]
+fn error_corpus_matches_the_fixture() {
+    let want = std::fs::read_to_string(error_corpus_path()).expect("fixture is readable");
+    let got = render_error_corpus();
+    if got != want {
+        let first = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "error corpus differs from the fixture at line {}:\n  got:  {:?}\n  want: {:?}",
+            first + 1,
+            got.lines().nth(first),
+            want.lines().nth(first)
+        );
+    }
+}
+
+/// Re-records the fixture. Run only on an importer whose errors are
+/// already trusted: `cargo test -p scanguard-netlist record_error_corpus
+/// -- --ignored`.
+#[test]
+#[ignore = "re-records the error corpus; run only on a trusted importer"]
+fn record_error_corpus() {
+    std::fs::write(error_corpus_path(), render_error_corpus()).expect("fixture is writable");
 }

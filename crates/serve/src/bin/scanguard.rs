@@ -973,7 +973,9 @@ fn cmd_import(job: &ImportJob, p: &Params) -> Result<(), String> {
         ),
         Err(e) => println!("  scan: none recovered ({e})"),
     }
-    write_json(p.text("json")?, &serde::Serialize::to_value(&nl))?;
+    write_out(p.text("json")?, || {
+        serde_json::to_string_pretty(&serde::Serialize::to_value(&nl)).map_err(|e| e.to_string())
+    })?;
     write_out(p.text("verilog")?, || {
         Ok(scanguard_netlist::to_verilog(&nl))
     })
