@@ -483,20 +483,11 @@ pub fn explore_env(spec: &SpaceSpec, env: &ExploreEnv) -> Result<SpaceReport, Ex
     let points = spec.enumerate();
     let ff_count = spec.design.ff_count();
     let obs = env.obs;
-    // A point reads its wake's bounce and time, never the sampled
-    // waveforms: holding those (2,001 samples per step) for the whole
-    // run raised the daemon's peak RSS by ~0.2 MB.
     let network = PowerNetwork::default_120nm();
     let events: Vec<(WakeStrategy, WakeEvent)> = spec
         .wakes
         .iter()
-        .map(|&wake| {
-            let event = WakeEvent {
-                steps: Vec::new(),
-                ..wake.wake(&network)
-            };
-            (wake, event)
-        })
+        .map(|&wake| (wake, wake.wake(&network)))
         .collect();
     let mut groups: Vec<(BuildKey, Vec<usize>)> = Vec::new();
     let mut group_of: HashMap<BuildKey, usize> = HashMap::new();

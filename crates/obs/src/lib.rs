@@ -56,7 +56,6 @@ mod metrics;
 mod profile;
 mod prom;
 mod recorder;
-mod series;
 mod trace;
 
 pub use event::{arg, ArgValue, Event, EventKind, Lane};
@@ -64,5 +63,4 @@ pub use metrics::{CounterHandle, HistogramHandle, HistogramSnapshot, MetricsSnap
 pub use profile::{FlatRow, LaneProfile, Profile, ProfileNode};
 pub use prom::{prom_name, to_prometheus, PROM_CONTENT_TYPE};
 pub use recorder::{Level, PhaseLog, Recorder, RecorderConfig};
-pub use series::{SeriesRates, SeriesRing, SeriesSample};
 pub use trace::{lane_name, lane_tid, to_chrome_trace, to_jsonl};

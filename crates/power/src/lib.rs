@@ -46,6 +46,6 @@ mod rush;
 mod upset;
 mod wake;
 
-pub use rush::{PowerNetwork, RushTransient, Sample};
+pub use rush::{PowerNetwork, RushTransient};
 pub use upset::{UpsetModel, UpsetSampler};
 pub use wake::{WakeEvent, WakeStrategy};

@@ -9,9 +9,10 @@
 //! which can flip the always-on retention latches hanging off that rail.
 //!
 //! [`PowerNetwork::transient`] solves the step response in closed form
-//! (underdamped, critically damped and overdamped cases), samples the
-//! waveform, and reports the peak current and a first-order bounce
-//! estimate `V_bounce = R_shared * I_peak + L_shared * (dI/dt)_char`.
+//! (underdamped, critically damped and overdamped cases), steps through
+//! the waveform, and reports the peak current, the settle time and a
+//! first-order bounce estimate
+//! `V_bounce = R_shared * I_peak + L_shared * (dI/dt)_char`.
 
 /// Electrical model of one power-gated domain's supply network.
 ///
@@ -118,11 +119,9 @@ impl PowerNetwork {
             Box::new(move |t: f64| k * t * (-alpha * t).exp())
         };
 
-        let mut samples = Vec::with_capacity(n + 1);
         let mut peak_i: f64 = 0.0;
         let mut peak_didt: f64 = 0.0;
         let mut prev_i = 0.0;
-        let mut settle_time = t_end;
         // Shared-rail bounce waveform, low-pass filtered at the latch
         // response constant: only bounce sustained long enough to move a
         // latch counts.
@@ -138,26 +137,20 @@ impl PowerNetwork {
             let bounce_raw = (self.shared_resistance * i + self.shared_inductance * didt).abs();
             bounce_filt += alpha_f * (bounce_raw - bounce_filt);
             peak_bounce = peak_bounce.max(bounce_filt);
-            samples.push(Sample {
-                t_s: t,
-                current_a: i,
-            });
             prev_i = i;
         }
         // Settle: last time |i| exceeded 5% of peak.
-        for s in samples.iter().rev() {
-            if s.current_a.abs() > 0.05 * peak_i {
-                settle_time = s.t_s;
-                break;
-            }
-        }
+        let settle_time = (0..=n)
+            .rev()
+            .map(|step| step as f64 * dt)
+            .find(|&t| current_at(t).abs() > 0.05 * peak_i)
+            .unwrap_or(t_end);
         RushTransient {
             peak_current_a: peak_i,
             peak_di_dt: peak_didt,
             peak_bounce_v: peak_bounce,
             settle_time_s: settle_time,
             underdamped: disc < 0.0,
-            samples,
         }
     }
 
@@ -173,15 +166,6 @@ impl PowerNetwork {
     }
 }
 
-/// One waveform sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Sample {
-    /// Time since switch closure, seconds.
-    pub t_s: f64,
-    /// Instantaneous rush current, amperes.
-    pub current_a: f64,
-}
-
 /// Result of solving one wake transient.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RushTransient {
@@ -195,8 +179,6 @@ pub struct RushTransient {
     pub settle_time_s: f64,
     /// `true` when the response rings (underdamped).
     pub underdamped: bool,
-    /// Sampled waveform.
-    pub samples: Vec<Sample>,
 }
 
 #[cfg(test)]
@@ -247,13 +229,5 @@ mod tests {
     #[should_panic(expected = "switch fraction")]
     fn zero_fraction_panics() {
         let _ = PowerNetwork::default_120nm().transient(0.0);
-    }
-
-    #[test]
-    fn waveform_starts_at_zero_current() {
-        let net = PowerNetwork::default_120nm();
-        let t = net.transient(0.5);
-        assert!(t.samples[0].current_a.abs() < 1e-15);
-        assert!(t.samples.len() > 100);
     }
 }

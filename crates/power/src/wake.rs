@@ -8,7 +8,7 @@
 //! corrupted anyway; the `ablation_rush` paper test quantifies exactly that
 //! trade-off using these models.
 
-use crate::{PowerNetwork, RushTransient};
+use crate::PowerNetwork;
 
 /// How the switch bank is activated on wake-up.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -38,9 +38,6 @@ pub struct WakeEvent {
     pub peak_bounce_v: f64,
     /// Total wake time until the rail is stable, s.
     pub wake_time_s: f64,
-    /// Per-step transients (one for [`WakeStrategy::FullBank`] /
-    /// [`WakeStrategy::SlowRamp`], `groups` for staggered).
-    pub steps: Vec<RushTransient>,
 }
 
 impl WakeEvent {
@@ -78,12 +75,10 @@ impl WakeStrategy {
                 WakeEvent {
                     peak_bounce_v: t.peak_bounce_v,
                     wake_time_s: t.settle_time_s,
-                    steps: vec![t],
                 }
             }
             WakeStrategy::Staggered { groups } => {
                 assert!(groups >= 2, "staggering needs at least 2 groups");
-                let mut steps = Vec::with_capacity(groups);
                 let mut peak: f64 = 0.0;
                 let mut total_time = 0.0;
                 // Step g closes groups (g+1)/groups of the bank; the
@@ -96,12 +91,10 @@ impl WakeStrategy {
                     let t = network.transient_from(fraction, deficit);
                     peak = peak.max(t.peak_bounce_v);
                     total_time += t.settle_time_s;
-                    steps.push(t);
                 }
                 WakeEvent {
                     peak_bounce_v: peak,
                     wake_time_s: total_time,
-                    steps,
                 }
             }
             WakeStrategy::SlowRamp { ramp_factor } => {
@@ -113,7 +106,6 @@ impl WakeStrategy {
                 WakeEvent {
                     peak_bounce_v: t.peak_bounce_v,
                     wake_time_s: t.settle_time_s,
-                    steps: vec![t],
                 }
             }
         }
@@ -142,13 +134,6 @@ mod tests {
         let few = WakeStrategy::Staggered { groups: 2 }.wake(&net);
         let many = WakeStrategy::Staggered { groups: 16 }.wake(&net);
         assert!(many.peak_bounce_v < few.peak_bounce_v);
-    }
-
-    #[test]
-    fn staggered_produces_one_transient_per_group() {
-        let net = PowerNetwork::default_120nm();
-        let e = WakeStrategy::Staggered { groups: 5 }.wake(&net);
-        assert_eq!(e.steps.len(), 5);
     }
 
     #[test]

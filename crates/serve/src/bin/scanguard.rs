@@ -44,6 +44,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if cmd != "serve" {
+        restore_sigpipe();
+    }
     match run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -299,11 +302,8 @@ COMMANDS:
   serve     run the evaluation daemon (NDJSON requests; see PROTOCOL.md)
               [--threads N] [--store DIR] [--store-max-entries N]
               [--store-max-bytes N] [--tcp HOST:PORT] [--http HOST:PORT]
-              [--sample-ms N]
               (without --tcp, serves stdin -> stdout)
-            --http serves GET /metrics (Prometheus text) and GET /status;
-            --sample-ms sets the telemetry sampler tick (default 1000,
-            0 disables)
+            --http serves GET /metrics (Prometheus text) and GET /status
   client    send one request line to a TCP daemon and print the response
             (a metrics response also gets a latency p50/p90/p99 summary
             on stderr)
@@ -357,7 +357,7 @@ const COMMAND_KEYS: &[(&str, &str)] = &[
     ("json", "depth width chains code test-width out"),
     (
         "serve",
-        "threads store store-max-entries store-max-bytes tcp http sample-ms",
+        "threads store store-max-entries store-max-bytes tcp http",
     ),
     ("client", "connect request timeout-ms"),
 ];
@@ -767,17 +767,33 @@ extern "C" fn on_sigterm(_sig: i32) {
     TERM_FLAG.store(true, Ordering::SeqCst);
 }
 
-/// Registers the SIGTERM handler through the C runtime — std has no
-/// signal API and the workspace vendors no libc crate, so the one
-/// symbol needed is declared directly.
+// std has no signal API and the workspace vendors no libc crate, so
+// the one symbol needed is declared directly. `handler` is a function
+// address or `SIG_DFL` (0).
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
+/// Registers the SIGTERM handler through the C runtime.
 fn install_sigterm() {
+    // SIGTERM is 15 on every Unix this builds for.
     #[cfg(unix)]
     unsafe {
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        // SIGTERM is 15 on every Unix this builds for.
-        signal(15, on_sigterm);
+        signal(15, on_sigterm as extern "C" fn(i32) as usize);
+    }
+}
+
+/// Restores the default SIGPIPE disposition, which the Rust runtime
+/// sets to ignore: a one-shot command whose reader goes away (`| head`)
+/// then ends quietly, as Unix filters do, instead of panicking in
+/// `println!` on the broken pipe. The daemon keeps ignoring it, so a
+/// client that disconnects cannot kill it.
+fn restore_sigpipe() {
+    // SIGPIPE is 13 on every Unix this builds for.
+    #[cfg(unix)]
+    unsafe {
+        signal(13, 0);
     }
 }
 
@@ -790,7 +806,6 @@ fn cmd_serve(p: &Params) -> Result<(), String> {
     let limits = &mut cfg.store_limits;
     limits.max_entries = p.usize("store-max-entries")?.unwrap_or(limits.max_entries);
     limits.max_bytes = p.u64("store-max-bytes")?.unwrap_or(limits.max_bytes);
-    cfg.sample_interval_ms = p.u64("sample-ms")?.unwrap_or(cfg.sample_interval_ms);
     let daemon = Arc::new(Daemon::new(&cfg)?);
     install_sigterm();
     let term = Arc::new(AtomicBool::new(false));
@@ -806,7 +821,6 @@ fn cmd_serve(p: &Params) -> Result<(), String> {
             std::thread::sleep(std::time::Duration::from_millis(50));
         });
     }
-    let sampler = daemon.start_sampler(&term);
     // The scrape endpoint shares the daemon and its shutdown machinery:
     // SIGTERM or a `shutdown` request drains both listeners.
     // On the stdio transport stdout carries NDJSON responses, so the
@@ -844,8 +858,8 @@ fn cmd_serve(p: &Params) -> Result<(), String> {
         }
     };
     // The NDJSON transport exits on drain/term, which also stops the
-    // HTTP accept loop and the sampler — join them so their last
-    // handlers land before the process does.
+    // HTTP accept loop — join it so its last handlers land before the
+    // process does.
     if let Some(http) = http {
         // An EOF'd stdio transport exits without draining; tell the
         // HTTP loop to stop rather than leaving it to poll forever.
@@ -854,10 +868,6 @@ fn cmd_serve(p: &Params) -> Result<(), String> {
             Ok(r) => r?,
             Err(_) => return Err("http listener panicked".into()),
         }
-    }
-    if let Some(sampler) = sampler {
-        daemon.begin_drain();
-        let _ = sampler.join();
     }
     served
 }

@@ -17,13 +17,13 @@
 use crate::job::{Job, JobCtx, Params};
 use crate::protocol::{err_response, id_key, num, ok_response, ErrorCode, Request};
 use scanguard_explore::{cache_salt, DiskStore, StoreLimits};
-use scanguard_obs::{arg, to_prometheus, Lane, Recorder, RecorderConfig, SeriesRates, SeriesRing};
+use scanguard_obs::{to_prometheus, Recorder, RecorderConfig};
 use scanguard_par::{CancelToken, PoolBudget};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -38,16 +38,7 @@ pub struct ServeConfig {
     pub store_dir: Option<PathBuf>,
     /// Eviction bounds for the persistent store.
     pub store_limits: StoreLimits,
-    /// Collect trace events (request lanes).
-    pub trace: bool,
-    /// Telemetry sampler tick in milliseconds (0 disables the
-    /// background sampler; requests can still sample on demand).
-    pub sample_interval_ms: u64,
 }
-
-/// Samples the telemetry ring holds before evicting the oldest (ten
-/// minutes at the default 1 s sampler tick).
-const SERIES_CAPACITY: usize = 600;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -55,8 +46,6 @@ impl Default for ServeConfig {
             slots: std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
             store_dir: None,
             store_limits: StoreLimits::default(),
-            trace: false,
-            sample_interval_ms: 1000,
         }
     }
 }
@@ -72,11 +61,8 @@ pub struct Daemon {
     budget: PoolBudget,
     store: Option<DiskStore>,
     rec: Recorder,
-    series: SeriesRing,
-    sample_interval_ms: u64,
     started: Instant,
     requests_total: AtomicU64,
-    next_lane: AtomicU32,
     inflight: Mutex<HashMap<String, Inflight>>,
     draining: AtomicBool,
 }
@@ -89,7 +75,7 @@ const CONTROL_KINDS: &[&str] = &["status", "metrics", "version", "cancel", "shut
 /// The parameters a control kind takes, checked like a job's keys.
 fn control_keys(kind: &str) -> &'static str {
     match kind {
-        "metrics" => "series deterministic window_ms",
+        "metrics" => "deterministic",
         "cancel" => "target",
         _ => "",
     }
@@ -111,15 +97,11 @@ impl Daemon {
             budget: PoolBudget::new(cfg.slots),
             store,
             rec: Recorder::new(RecorderConfig {
-                trace: cfg.trace,
                 metrics: true,
                 ..RecorderConfig::default()
             }),
-            series: SeriesRing::new(SERIES_CAPACITY),
-            sample_interval_ms: cfg.sample_interval_ms,
             started: Instant::now(),
             requests_total: AtomicU64::new(0),
-            next_lane: AtomicU32::new(0),
             inflight: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
         })
@@ -131,66 +113,17 @@ impl Daemon {
         &self.rec
     }
 
-    /// The telemetry ring the background sampler fills.
-    #[must_use]
-    pub fn series(&self) -> &SeriesRing {
-        &self.series
-    }
-
-    /// Pushes one sample (every counter under one timestamp) into the
-    /// telemetry ring, stamped with milliseconds since daemon start.
-    pub fn sample_now(&self) {
-        let t_ms = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        self.series.record(t_ms, &self.rec.metrics_snapshot());
-    }
-
-    /// Spawns the background sampler thread: one
-    /// [`sample_now`](Self::sample_now) per configured tick until `term`
-    /// goes true or the daemon drains. Returns `None` when sampling is
-    /// disabled (`sample_interval_ms == 0`).
-    pub fn start_sampler(
-        self: &Arc<Self>,
-        term: &Arc<AtomicBool>,
-    ) -> Option<std::thread::JoinHandle<()>> {
-        if self.sample_interval_ms == 0 {
-            return None;
-        }
-        let daemon = self.clone();
-        let term = term.clone();
-        Some(std::thread::spawn(move || {
-            let tick = Duration::from_millis(daemon.sample_interval_ms);
-            // Seed the ring immediately so one tick suffices for rates.
-            daemon.sample_now();
-            while !term.load(Ordering::SeqCst) && !daemon.is_draining() {
-                // Sleep in short slices so drain/term lands promptly
-                // even with a long sampling interval.
-                let wake = Instant::now() + tick;
-                while Instant::now() < wake {
-                    if term.load(Ordering::SeqCst) || daemon.is_draining() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(20).min(tick));
-                }
-                daemon.sample_now();
-            }
-        }))
-    }
-
-    /// Windowed per-second rates over the telemetry ring.
-    #[must_use]
-    pub fn rates(&self, window_ms: u64) -> SeriesRates {
-        self.series.rates(window_ms)
-    }
-
     /// The Prometheus text-exposition body for `GET /metrics`: every
     /// counter and histogram in the registry plus daemon gauges
-    /// (uptime, in-flight requests, budget occupancy and queue depth)
-    /// and the windowed rates derived from the telemetry ring.
+    /// (uptime, in-flight requests, budget occupancy and queue depth).
+    /// Rates are left to the scraper: every counter, the volatile
+    /// `par.worker.NN.busy_ns`/`idle_ns` included, is exported as a
+    /// running total.
     #[must_use]
-    pub fn prometheus_body(&self, window_ms: u64) -> String {
+    pub fn prometheus_body(&self) -> String {
         let snap = self.rec.metrics_snapshot();
         let uptime = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let mut gauges: Vec<(String, f64)> = vec![
+        let gauges: Vec<(String, f64)> = vec![
             ("serve.uptime_ms".to_owned(), uptime as f64),
             ("serve.inflight".to_owned(), self.inflight_len() as f64),
             ("serve.budget.slots".to_owned(), self.budget.slots() as f64),
@@ -203,13 +136,6 @@ impl Daemon {
                 self.budget.waiters() as f64,
             ),
         ];
-        let rates = self.series.rates(window_ms);
-        for (name, v) in &rates.per_second {
-            gauges.push((format!("rate.{name}.per_s"), *v));
-        }
-        for (name, v) in &rates.derived {
-            gauges.push((format!("rate.{name}"), *v));
-        }
         to_prometheus(&snap, &gauges)
     }
 
@@ -259,28 +185,16 @@ impl Daemon {
             );
         }
         let started = Instant::now();
-        let lane = Lane::Request(self.next_lane.fetch_add(1, Ordering::Relaxed));
         self.requests_total.fetch_add(1, Ordering::Relaxed);
         self.rec.counter("serve.requests").inc();
         self.rec
             .counter(&format!("serve.requests.{}", req.kind))
             .inc();
-        self.rec.begin(lane, &req.kind, 0);
         let result = if Job::KINDS.contains(&req.kind.as_str()) {
             self.run_work(&req)
         } else {
             self.run_control(&req)
         };
-        let outcome = match &result {
-            Ok(_) => "ok".to_owned(),
-            Err((code, _)) => code.name().to_owned(),
-        };
-        self.rec.end(
-            lane,
-            &req.kind,
-            0,
-            vec![arg("id", id_key(&req.id)), arg("outcome", outcome.as_str())],
-        );
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.rec
             .histogram_volatile("serve.request_latency_us")
@@ -377,18 +291,14 @@ impl Daemon {
         }
     }
 
-    /// The `metrics` control response: the registry snapshot, plus a
-    /// `series` section (windowed rates from the telemetry ring) when
-    /// `"series": true`, minus everything wall-clock-dependent when
-    /// `"deterministic": true` — volatile sections dropped, rates
-    /// zeroed with their key shape kept, so the payload is
-    /// byte-identical across thread counts and cache temperatures.
+    /// The `metrics` control response: the registry snapshot, minus
+    /// everything wall-clock-dependent when `"deterministic": true` —
+    /// volatile sections dropped, so the payload is byte-identical
+    /// across thread counts and cache temperatures.
     fn metrics(&self, p: &Params) -> Result<Value, String> {
-        let want_series = p.bool("series")?.unwrap_or(false);
         let deterministic = p.bool("deterministic")?.unwrap_or(false);
-        let window_ms = p.u64("window_ms")?.unwrap_or(10_000);
         let snap = self.rec.metrics_snapshot();
-        let mut fields = if deterministic {
+        let fields = if deterministic {
             vec![
                 ("counters".to_owned(), Serialize::to_value(&snap.counters)),
                 (
@@ -402,11 +312,6 @@ impl Daemon {
                 other => vec![("snapshot".to_owned(), other)],
             }
         };
-        if want_series {
-            let rates = self.series.rates(window_ms);
-            let rates = if deterministic { rates.zeroed() } else { rates };
-            fields.push(("series".to_owned(), Serialize::to_value(&rates)));
-        }
         Ok(Value::Object(fields))
     }
 
@@ -567,30 +472,49 @@ pub fn serve_tcp(
     term: &Arc<AtomicBool>,
     on_bound: impl FnOnce(std::net::SocketAddr),
 ) -> Result<(), String> {
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let conn = {
+        let (daemon, term) = (daemon.clone(), term.clone());
+        move |stream| serve_conn(&daemon, stream, &term)
+    };
+    accept_loop(daemon, addr, "", term, on_bound, conn)
+}
+
+/// The accept loop both TCP front-ends share: binds `addr`, reports
+/// the bound address, then polls a nonblocking listener until `term`
+/// goes true or the daemon drains, running `conn` on its own thread
+/// per connection, and joins every connection thread before returning.
+/// `kind` (`""` or `"http "`) prefixes the listener in error messages.
+pub(crate) fn accept_loop(
+    daemon: &Daemon,
+    addr: &str,
+    kind: &str,
+    term: &AtomicBool,
+    on_bound: impl FnOnce(std::net::SocketAddr),
+    conn: impl Fn(std::net::TcpStream) + Send + Sync + 'static,
+) -> Result<(), String> {
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| format!("binding {kind}{addr}: {e}"))?;
     listener
         .set_nonblocking(true)
-        .map_err(|e| format!("configuring listener: {e}"))?;
+        .map_err(|e| format!("configuring {kind}listener: {e}"))?;
     on_bound(
         listener
             .local_addr()
-            .map_err(|e| format!("resolving bound address: {e}"))?,
+            .map_err(|e| format!("resolving bound {kind}address: {e}"))?,
     );
+    let conn = Arc::new(conn);
     let mut conns = Vec::new();
     while !term.load(Ordering::SeqCst) && !daemon.is_draining() {
         match listener.accept() {
             Ok((stream, _)) => {
-                let daemon = daemon.clone();
-                let term = term.clone();
-                conns.push(std::thread::spawn(move || {
-                    serve_conn(&daemon, stream, &term);
-                }));
+                let conn = conn.clone();
+                conns.push(std::thread::spawn(move || conn(stream)));
                 conns.retain(|c| !c.is_finished());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
             }
-            Err(e) => return Err(format!("accepting connection: {e}")),
+            Err(e) => return Err(format!("accepting {kind}connection: {e}")),
         }
     }
     for c in conns {
@@ -827,7 +751,11 @@ mod tests {
             (r#"{"id":18,"type":"shutdown","now":true}"#, "(valid: none)"),
             (
                 r#"{"id":19,"type":"metrics","determinstic":true}"#,
-                "(valid: series deterministic window_ms)",
+                "(valid: deterministic)",
+            ),
+            (
+                r#"{"id":22,"type":"metrics","series":true}"#,
+                "(valid: deterministic)",
             ),
             (
                 r#"{"id":20,"type":"cancel","target":1,"force":true}"#,
@@ -840,8 +768,7 @@ mod tests {
             assert!(message.ends_with(valid), "{line}: {message}");
         }
         for line in [
-            r#"{"id":21,"type":"metrics","series":"yes"}"#,
-            r#"{"id":22,"type":"metrics","window_ms":-5}"#,
+            r#"{"id":21,"type":"metrics","deterministic":"yes"}"#,
             r#"{"id":23,"type":"cancel","target":[1]}"#,
         ] {
             let (code, message) = error_of(&d.handle_line(line));
@@ -850,10 +777,9 @@ mod tests {
         }
         assert!(!d.is_draining(), "a rejected shutdown does not drain");
         // The envelope and every documented key stay valid.
-        ok_result(&d.handle_line(r#"{"type":"metrics","deterministic":true}"#));
-        ok_result(&d.handle_line(
-            r#"{"id":24,"type":"metrics","series":true,"window_ms":500,"timeout_ms":100}"#,
-        ));
+        ok_result(
+            &d.handle_line(r#"{"id":24,"type":"metrics","deterministic":true,"timeout_ms":100}"#),
+        );
         ok_result(&d.handle_line(r#"{"type":"status"}"#));
     }
 

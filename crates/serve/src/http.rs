@@ -6,22 +6,20 @@
 //! just enough of the protocol for `curl`, Prometheus and a raw-TCP
 //! smoke test: it reads one request head, routes on the request line,
 //! writes one `Connection: close` response and shuts the socket down.
-//! The accept loop is the same shape as the NDJSON transport
+//! The accept loop is the NDJSON transport's own
 //! ([`serve_tcp`](crate::daemon::serve_tcp)): a nonblocking listener
 //! polled until SIGTERM or drain, then every in-flight handler joined,
 //! so `shutdown` closes the scrape endpoint as cleanly as the work
 //! endpoint.
 
-use crate::daemon::Daemon;
+use crate::daemon::{accept_loop, Daemon};
 use scanguard_obs::PROM_CONTENT_TYPE;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Window the `/metrics` rate gauges difference over.
-const RATE_WINDOW_MS: u64 = 10_000;
 /// Longest request head we will buffer before answering 431.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
@@ -38,35 +36,11 @@ pub fn serve_http(
     term: &Arc<AtomicBool>,
     on_bound: impl FnOnce(SocketAddr),
 ) -> Result<(), String> {
-    let listener = TcpListener::bind(addr).map_err(|e| format!("binding http {addr}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("configuring http listener: {e}"))?;
-    on_bound(
-        listener
-            .local_addr()
-            .map_err(|e| format!("resolving bound http address: {e}"))?,
-    );
-    let mut conns = Vec::new();
-    while !term.load(Ordering::SeqCst) && !daemon.is_draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let daemon = daemon.clone();
-                conns.push(std::thread::spawn(move || {
-                    handle_conn(&daemon, stream);
-                }));
-                conns.retain(|c| !c.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(format!("accepting http connection: {e}")),
-        }
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-    Ok(())
+    let conn = {
+        let daemon = daemon.clone();
+        move |stream| handle_conn(&daemon, stream)
+    };
+    accept_loop(daemon, addr, "http ", term, on_bound, conn)
 }
 
 /// One scrape connection: read the head, route, answer, close.
@@ -117,11 +91,7 @@ fn route(daemon: &Arc<Daemon>, request_line: &str) -> (&'static str, &'static st
         .counter_volatile("serve.http.requests")
         .inc();
     match path.split('?').next().unwrap_or(path) {
-        "/metrics" => (
-            "200 OK",
-            PROM_CONTENT_TYPE,
-            daemon.prometheus_body(RATE_WINDOW_MS),
-        ),
+        "/metrics" => ("200 OK", PROM_CONTENT_TYPE, daemon.prometheus_body()),
         "/status" => {
             let doc = serde_json::to_string(&daemon.status())
                 .unwrap_or_else(|e| format!("{{\"error\":{e:?}}}"));
@@ -151,6 +121,7 @@ fn respond(mut stream: TcpStream, status: &str, content_type: &str, body: &str) 
 mod tests {
     use super::*;
     use crate::daemon::{Daemon, ServeConfig};
+    use std::sync::atomic::Ordering;
 
     fn daemon() -> Arc<Daemon> {
         Arc::new(
@@ -170,7 +141,6 @@ mod tests {
     fn metrics_route_serves_prometheus_text() {
         let d = daemon();
         d.handle_line(r#"{"id":1,"type":"version"}"#);
-        d.sample_now();
         let (status, ctype, body) = get(&d, "GET /metrics HTTP/1.1");
         assert_eq!(status, "200 OK");
         assert_eq!(ctype, PROM_CONTENT_TYPE);

@@ -16,7 +16,7 @@
 //!   once; the `scanguard` CLI and the daemon are thin callers of it.
 //! - [`protocol`] — request/response framing, error codes, id echo.
 //! - [`daemon`] — dispatch, cancellation, deadlines, the drain
-//!   barrier, the telemetry sampler, and the stdio/TCP transports.
+//!   barrier, and the stdio/TCP transports.
 //! - [`http`] — the scrape front-end: `GET /metrics` in Prometheus
 //!   text exposition format, `GET /status` as JSON.
 //! - [`client`] — a one-request blocking TCP client (also what

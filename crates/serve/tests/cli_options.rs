@@ -1,8 +1,9 @@
 //! The CLI's option errors: an unknown option is named as unknown
 //! whether or not a value follows it, and a known option without its
-//! value is named as missing one.
+//! value is named as missing one. Also: a run whose stdout reader goes
+//! away ends without a panic.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs the binary, expecting exit 1; returns its stderr.
 fn failing(args: &[&str]) -> String {
@@ -51,4 +52,20 @@ fn validate_has_no_mode_option() {
         stderr.contains("unknown option --mode for validate"),
         "stderr:\n{stderr}"
     );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_scanguard"))
+        .args(["verilog", "--design", "fifo32x32"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // The reader goes away before the first line is written.
+    drop(child.stdout.take());
+    let run = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert_ne!(run.status.code(), Some(101), "stderr:\n{stderr}");
 }

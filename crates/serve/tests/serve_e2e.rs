@@ -544,47 +544,24 @@ fn http_metrics_agree_with_ndjson_and_drain_closes_the_listener() {
     );
 }
 
-/// ISSUE satellite: `metrics` with `series: true, deterministic: true`
-/// is byte-identical across worker thread counts — the rate section
-/// keeps its key shape but zeroes every wall-clock-derived number.
+/// `metrics` with `deterministic: true` is byte-identical across
+/// worker thread counts: every wall-clock-derived section is dropped.
 #[test]
-fn deterministic_metrics_with_series_are_thread_count_blind() {
+fn deterministic_metrics_are_thread_count_blind() {
     let run = |threads: usize| {
         let server = Server::start(None);
         server.ok(&format!(
             r#"{{"id":"w","type":"coverage","depth":4,"width":4,"chains":4,"code":"crc16","test_width":4,"patterns":4,"max_faults":16,"threads":{threads}}}"#
         ));
-        let resp = server.raw(r#"{"id":"m","type":"metrics","series":true,"deterministic":true}"#);
+        let resp = server.raw(r#"{"id":"m","type":"metrics","deterministic":true}"#);
         server.shutdown();
         resp
     };
-    let one = run(1);
-    let eight = run(8);
     assert_eq!(
-        one, eight,
-        "deterministic metrics+series must be byte-identical across thread counts"
+        run(1),
+        run(8),
+        "deterministic metrics must be byte-identical across thread counts"
     );
-    // The deterministic payload still carries the zeroed series shape.
-    let v: Value = serde_json::from_str(&one).expect("metrics response is JSON");
-    let series = v
-        .get("result")
-        .and_then(|r| r.get("series"))
-        .expect("series section present");
-    assert!(series.get("window_ms").is_some());
-    assert!(series.get("per_second").is_some());
-
-    // The live (non-deterministic) variant exposes the same section
-    // with real samples once the ring has been fed.
-    let server = Server::start(None);
-    server.ok(
-        r#"{"id":"w","type":"lint","design":"fifo8x8","chains":8,"code":"crc16","test_width":4}"#,
-    );
-    let live = server.ok(r#"{"id":"m","type":"metrics","series":true}"#);
-    assert!(
-        live.get("series").and_then(|s| s.get("derived")).is_some(),
-        "live series carries derived gauges: {live:?}"
-    );
-    server.shutdown();
 }
 
 /// The binary with `--http` serves Prometheus text over a real socket

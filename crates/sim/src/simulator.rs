@@ -103,8 +103,7 @@ struct SimObs {
     settles: scanguard_obs::CounterHandle,
     /// Combinational cells evaluated across all settles.
     cell_evals: scanguard_obs::CounterHandle,
-    /// Clock cycles stepped (the telemetry sampler derives cycles/s
-    /// from this).
+    /// Clock cycles stepped (a scraper derives cycles/s from this).
     cycles: scanguard_obs::CounterHandle,
 }
 
