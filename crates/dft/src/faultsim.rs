@@ -43,7 +43,7 @@
 
 use crate::{DftError, Lfsr, ScanChains, TestModeConfig};
 use scanguard_netlist::{
-    CellId, CellLibrary, GateKind, Logic, LogicSet, LogicWord, NetId, Netlist,
+    CellId, CellLibrary, GateKind, Logic, LogicSet, LogicWord, NetId, NetIndex, Netlist,
 };
 use scanguard_obs::{arg, HistogramHandle, Lane, Recorder};
 use scanguard_par::run_pool_obs;
@@ -388,6 +388,8 @@ struct FaultOutcome {
 /// The shared, read-only context every worker simulates against.
 struct Tester<'a> {
     netlist: &'a Netlist,
+    /// The netlist's drivers and loads, for every shift-cone walk.
+    index: NetIndex,
     lib: &'a CellLibrary,
     access: ScanAccess<'a>,
     free_pi: Vec<NetId>,
@@ -577,7 +579,14 @@ impl Tester<'_> {
         };
         let flops = self.netlist.ff_cells().map(|(_, c)| c.output());
         let roots = self.access.so_nets().into_iter().chain(flops);
-        LiveCone::walk(self.netlist, self.netlist.topo_order(), level, widen, roots)
+        LiveCone::walk(
+            self.netlist,
+            &self.index,
+            self.netlist.topo_order(),
+            level,
+            widen,
+            roots,
+        )
     }
 
     /// Simulates up to 63 faults at once on a [`WideSimulator`]: lane 0
@@ -871,6 +880,7 @@ fn fault_coverage_impl(
 
     let tester = Tester {
         netlist,
+        index: NetIndex::new(netlist),
         lib,
         access,
         free_pi,

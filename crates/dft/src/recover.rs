@@ -17,7 +17,7 @@
 //! Every scan flop must land on exactly one chain and sample the shared
 //! scan-enable net; anything else is a [`DftError::Recover`].
 
-use scanguard_netlist::{CellId, NetId, Netlist};
+use scanguard_netlist::{CellId, NetId, NetIndex, Netlist};
 
 use crate::error::DftError;
 use crate::scan::{ScanChain, ScanChains, SE_PORT, SI_PREFIX, SO_PREFIX};
@@ -70,20 +70,27 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
         .port(SE_PORT)
         .map_err(|_| err(format!("no scan-enable input port `{SE_PORT}`")))?;
 
-    // Scan flops indexed by the net on their SI pin (pin order D, SI, SE).
-    let mut by_si: Vec<Option<CellId>> = vec![None; netlist.net_count()];
+    let index = NetIndex::new(netlist);
+    // The first scan flop, in cell order, whose SI pin (pin order D, SI,
+    // SE) reads `net`.
+    let si_reader = |net: NetId| {
+        index
+            .loads(net)
+            .iter()
+            .find(|&&(c, pin)| pin == 1 && netlist.cell(c).kind().is_scan())
+            .map(|&(c, _)| c)
+    };
     let mut scan_flops = 0usize;
     for (id, cell) in netlist.cells().filter(|(_, c)| c.kind().is_scan()) {
         scan_flops += 1;
         let si = cell.inputs()[1];
-        if by_si[si.index()].replace(id).is_some() {
+        if si_reader(si) != Some(id) {
             return Err(err(format!(
                 "net {si} feeds the SI pin of more than one scan flop"
             )));
         }
     }
 
-    let fanout = Fanout::new(netlist);
     let mut seen = vec![false; netlist.net_count()];
     let mut chains = Vec::new();
     // Flops already on a chain, this one included, set as each is
@@ -101,13 +108,13 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
         let Ok(si) = netlist.port(&si_name) else {
             break;
         };
-        let head = trace_head(netlist, &fanout, &mut seen, si, &si_name)?;
+        let head = trace_head(netlist, &index, &mut seen, si, &si_name)?;
 
         // Follow direct Q -> SI links to the end of the chain.
         let mut cells = vec![head];
         claim(head);
         let mut cursor = head;
-        while let Some(next) = by_si[netlist.cell(cursor).output().index()] {
+        while let Some(next) = si_reader(netlist.cell(cursor).output()) {
             if claim(next) {
                 return Err(err(format!(
                     "scan chain {k} loops back onto an already-chained flop"
@@ -157,42 +164,6 @@ pub fn recover_scan_chains(netlist: &Netlist) -> Result<ScanChains, DftError> {
     })
 }
 
-/// Combinational fanout in compressed-row form: the `(consuming cell,
-/// pin index)` pairs of net `n` are `sinks[start[n]..start[n + 1]]`, in
-/// cell order.
-struct Fanout {
-    start: Vec<u32>,
-    sinks: Vec<(CellId, u32)>,
-}
-
-impl Fanout {
-    fn new(netlist: &Netlist) -> Self {
-        let mut start = vec![0u32; netlist.net_count() + 1];
-        for (_, cell) in netlist.cells() {
-            for &input in cell.inputs() {
-                start[input.index() + 1] += 1;
-            }
-        }
-        for n in 1..start.len() {
-            start[n] += start[n - 1];
-        }
-        let mut fill = start.clone();
-        let mut sinks = vec![(CellId::from_index(0), 0); start[start.len() - 1] as usize];
-        for (id, cell) in netlist.cells() {
-            for (pin, &input) in cell.inputs().iter().enumerate() {
-                let slot = &mut fill[input.index()];
-                sinks[*slot as usize] = (id, pin as u32);
-                *slot += 1;
-            }
-        }
-        Fanout { start, sinks }
-    }
-
-    fn of(&self, net: NetId) -> &[(CellId, u32)] {
-        &self.sinks[self.start[net.index()] as usize..self.start[net.index() + 1] as usize]
-    }
-}
-
 /// Traces `si` through combinational cells to the unique scan flop
 /// whose SI pin it reaches.
 ///
@@ -203,7 +174,7 @@ impl Fanout {
 /// landing site. `seen` is all `false` on entry and on return.
 fn trace_head(
     netlist: &Netlist,
-    fanout: &Fanout,
+    index: &NetIndex,
     seen: &mut [bool],
     si: NetId,
     si_name: &str,
@@ -213,7 +184,7 @@ fn trace_head(
     seen[si.index()] = true;
     let mut heads: Vec<CellId> = Vec::new();
     while let Some(net) = frontier.pop() {
-        for &(cell, pin) in fanout.of(net) {
+        for &(cell, pin) in index.loads(net) {
             let kind = netlist.cell(cell).kind();
             if kind.is_scan() && pin == 1 {
                 if !heads.contains(&cell) {
@@ -384,6 +355,29 @@ mod tests {
         assert_eq!(
             recover_message(&nl),
             "scan-chain recovery failed: scan chain 1 loops back onto an already-chained flop"
+        );
+    }
+
+    #[test]
+    fn a_net_on_two_scan_in_pins_is_reported() {
+        // `q0` feeds the SI pin of both a1 and a2; the error names it
+        // even though a functional load reads it first.
+        let mut b = NetlistBuilder::new("fork");
+        let d = b.input("d");
+        let si = b.input_bus("si", 1);
+        let se = b.input("se");
+        let (q0, _) = b.sdff("a0", d, si[0], se);
+        let nq0 = b.not(q0);
+        let (q1, _) = b.sdff("a1", nq0, q0, se);
+        let (q2, _) = b.sdff("a2", d, q0, se);
+        b.output_bus("so", &[q1]);
+        b.output("q2", q2);
+        let nl = b.finish().unwrap();
+        assert_eq!(
+            recover_message(&nl),
+            format!(
+                "scan-chain recovery failed: net {q0} feeds the SI pin of more than one scan flop"
+            )
         );
     }
 

@@ -89,13 +89,19 @@ impl DesignSpec {
             return Err(format!("design {name:?}: dimensions must be nonzero"));
         }
         match kind {
-            // Mirror the generator's own constraint so a bad name is a
+            // Mirror the generators' own constraints so a bad name is a
             // CLI error, not a panic deep in netlist generation.
             "fifo" if !a.is_power_of_two() || a < 2 => {
                 Err(format!("fifo depth {a} must be a power of two >= 2"))
             }
             "fifo" => Ok(DesignSpec::Fifo { depth: a, width: b }),
+            "datapath" if !a.is_power_of_two() || a < 2 => Err(format!(
+                "datapath register count {a} must be a power of two >= 2"
+            )),
             "datapath" => Ok(DesignSpec::Datapath { regs: a, width: b }),
+            "regfile" if !a.is_power_of_two() || a < 2 => Err(format!(
+                "regfile word count {a} must be a power of two >= 2"
+            )),
             "regfile" => Ok(DesignSpec::RegFile { words: a, width: b }),
             "mesh" if b < 2 => Err(format!("mesh needs at least 2 columns, got {b}")),
             "mesh" => Ok(DesignSpec::Mesh { rows: a, cols: b }),
@@ -281,6 +287,8 @@ mod tests {
         assert!(DesignSpec::parse("ring4x4").is_err());
         assert!(DesignSpec::parse("fifo32").is_err());
         assert!(DesignSpec::parse("mesh4x1").is_err());
+        assert!(DesignSpec::parse("regfile1x1").is_err());
+        assert!(DesignSpec::parse("datapath1x1").is_err());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Shared graph analyses computed once per lint run.
 //!
-//! The context deliberately trusts nothing cached on the netlist: it
-//! derives its own driver and fanout maps straight from the cell array
-//! and runs its own Kahn levelization, so rules work on *broken* inputs
-//! (multi-driven nets, combinational loops, stale `topo_order`) — the
-//! very netlists a linter exists for.
+//! The context deliberately trusts nothing cached on the netlist: its
+//! [`NetIndex`] is derived straight from the cell array and it runs
+//! [`levelize`] itself, so rules work on *broken* inputs (multi-driven
+//! nets, combinational loops, stale `topo_order`) — the very netlists a
+//! linter exists for.
 
 use crate::upset::{sweep, SweepCells, UpsetError, UpsetReport};
 use scanguard_dft::{ScanChains, TestModeConfig};
-use scanguard_netlist::{CellId, CellLibrary, NetId, Netlist};
+use scanguard_netlist::{arrival_times, levelize, CellId, CellLibrary, NetId, NetIndex, Netlist};
 use std::cell::OnceCell;
 use std::collections::HashSet;
 
@@ -122,10 +122,8 @@ pub struct LintContext<'a> {
     netlist: &'a Netlist,
     library: &'a CellLibrary,
     design: Option<DesignView<'a>>,
-    /// Every cell driving each net, recomputed from the cell array.
-    drivers: Vec<Vec<CellId>>,
-    /// Cells consuming each net.
-    consumers: Vec<Vec<CellId>>,
+    /// Every net's drivers and loads, recomputed from the cell array.
+    index: NetIndex,
     input_port: Vec<bool>,
     output_port: Vec<bool>,
     /// `Ok` = combinational cells in topological order; `Err` = cells
@@ -161,14 +159,6 @@ impl<'a> LintContext<'a> {
         design: Option<DesignView<'a>>,
     ) -> Self {
         let nets = netlist.net_count();
-        let mut drivers: Vec<Vec<CellId>> = vec![Vec::new(); nets];
-        let mut consumers: Vec<Vec<CellId>> = vec![Vec::new(); nets];
-        for (id, cell) in netlist.cells() {
-            drivers[cell.output().index()].push(id);
-            for &inp in cell.inputs() {
-                consumers[inp.index()].push(id);
-            }
-        }
         let mut input_port = vec![false; nets];
         for (_, net) in netlist.input_ports() {
             input_port[net.index()] = true;
@@ -177,69 +167,17 @@ impl<'a> LintContext<'a> {
         for (_, net) in netlist.output_ports() {
             output_port[net.index()] = true;
         }
-        let topo = Self::levelize(netlist, &drivers);
+        let index = NetIndex::new(netlist);
+        let topo = levelize(netlist, &index);
         LintContext {
             netlist,
             library,
             design,
-            drivers,
-            consumers,
+            index,
             input_port,
             output_port,
             topo,
             upset: OnceCell::new(),
-        }
-    }
-
-    /// Kahn levelization over combinational cells using the *first*
-    /// recomputed driver of each net (extra drivers are SG002's
-    /// problem). `Err` carries the cells left on cycles.
-    fn levelize(netlist: &Netlist, drivers: &[Vec<CellId>]) -> Result<Vec<CellId>, Vec<CellId>> {
-        let n = netlist.cell_count();
-        let mut indegree = vec![0u32; n];
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); netlist.net_count()];
-        let comb = |id: CellId| !netlist.cell(id).kind().is_sequential();
-        for (id, cell) in netlist.cells() {
-            if !comb(id) {
-                continue;
-            }
-            for &inp in cell.inputs() {
-                if let Some(&d) = drivers[inp.index()].first() {
-                    if comb(d) {
-                        fanout[inp.index()].push(id.index() as u32);
-                        indegree[id.index()] += 1;
-                    }
-                }
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| comb(CellId::from_index(i as usize)) && indegree[i as usize] == 0)
-            .collect();
-        while let Some(i) = queue.pop() {
-            let id = CellId::from_index(i as usize);
-            order.push(id);
-            let out = self::output_net(netlist, id);
-            if drivers[out.index()].first() != Some(&id) {
-                continue; // extra drivers of a contended net (SG002)
-                          // don't own its fanout edges
-            }
-            for &succ in &fanout[out.index()] {
-                indegree[succ as usize] -= 1;
-                if indegree[succ as usize] == 0 {
-                    queue.push(succ);
-                }
-            }
-        }
-        let comb_count = (0..n).filter(|&i| comb(CellId::from_index(i))).count();
-        if order.len() == comb_count {
-            Ok(order)
-        } else {
-            let stuck: Vec<CellId> = (0..n)
-                .map(CellId::from_index)
-                .filter(|&id| comb(id) && indegree[id.index()] > 0)
-                .collect();
-            Err(stuck)
         }
     }
 
@@ -261,16 +199,22 @@ impl<'a> LintContext<'a> {
         self.design.as_ref()
     }
 
+    /// Every net's drivers and loads.
+    #[must_use]
+    pub fn index(&self) -> &NetIndex {
+        &self.index
+    }
+
     /// All cells driving `net` (0 = floating, 2+ = contention).
     #[must_use]
     pub fn drivers(&self, net: NetId) -> &[CellId] {
-        &self.drivers[net.index()]
+        self.index.drivers(net)
     }
 
-    /// All cells reading `net`.
+    /// All `(cell, pin)` pairs reading `net`.
     #[must_use]
-    pub fn consumers(&self, net: NetId) -> &[CellId] {
-        &self.consumers[net.index()]
+    pub fn consumers(&self, net: NetId) -> &[(CellId, u32)] {
+        self.index.loads(net)
     }
 
     /// `true` when `net` is a primary input port.
@@ -360,7 +304,7 @@ impl<'a> LintContext<'a> {
                 cone.ports.push(n);
                 continue;
             }
-            let Some(&d) = self.drivers[n.index()].first() else {
+            let Some(&d) = self.drivers(n).first() else {
                 continue; // floating; SG001 reports it
             };
             let cell = self.netlist.cell(d);
@@ -390,7 +334,7 @@ impl<'a> LintContext<'a> {
             }
         }
         while let Some(n) = stack.pop() {
-            for &c in &self.consumers[n.index()] {
+            for &(c, _) in self.consumers(n) {
                 let cell = self.netlist.cell(c);
                 if cell.kind().is_sequential() {
                     continue;
@@ -410,27 +354,8 @@ impl<'a> LintContext<'a> {
     #[must_use]
     pub fn arrivals(&self) -> Option<Vec<f64>> {
         let order = self.topo.as_ref().ok()?;
-        let mut arrival = vec![0.0f64; self.netlist.net_count()];
-        for (_, cell) in self.netlist.cells() {
-            if cell.kind().is_sequential() {
-                arrival[cell.output().index()] = self.library.params(cell.kind()).delay_ps;
-            }
-        }
-        for &id in order {
-            let cell = self.netlist.cell(id);
-            let worst_in = cell
-                .inputs()
-                .iter()
-                .map(|n| arrival[n.index()])
-                .fold(0.0f64, f64::max);
-            arrival[cell.output().index()] = worst_in + self.library.params(cell.kind()).delay_ps;
-        }
-        Some(arrival)
+        Some(arrival_times(self.netlist, order, self.library))
     }
-}
-
-fn output_net(netlist: &Netlist, id: CellId) -> NetId {
-    netlist.cell(id).output()
 }
 
 #[cfg(test)]

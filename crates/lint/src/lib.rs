@@ -19,9 +19,10 @@
 //!   watermark, timing baseline) — scan DRC (`SG1xx`), power-domain
 //!   rules (`SG2xx`) and paper-claim rules (`SG3xx`).
 //!
-//! Analyses are recomputed from the raw cell array (drivers, fanout,
-//! levelization), so the linter works on *broken* netlists that
-//! `revalidate()` would reject — the inputs a linter exists for.
+//! Analyses are recomputed from the raw cell array (the netlist
+//! crate's `NetIndex` and `levelize`), so the linter works on *broken*
+//! netlists that `revalidate()` would reject — the inputs a linter
+//! exists for.
 //!
 //! # Examples
 //!

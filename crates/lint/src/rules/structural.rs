@@ -29,7 +29,7 @@ impl Rule for FloatingNet {
                 let exported = ctx.is_output_port(net);
                 if consumed || exported {
                     let sink = if consumed {
-                        format!("cell {}", ctx.cell_label(ctx.consumers(net)[0]))
+                        format!("cell {}", ctx.cell_label(ctx.consumers(net)[0].0))
                     } else {
                         "an output port".to_owned()
                     };
@@ -40,7 +40,7 @@ impl Rule for FloatingNet {
                             "net {} has no driver but feeds {sink}",
                             ctx.net_label(net)
                         ),
-                        cell: ctx.consumers(net).first().map(|&c| ctx.cell_label(c)),
+                        cell: ctx.consumers(net).first().map(|&(c, _)| ctx.cell_label(c)),
                         net: Some(ctx.net_label(net)),
                         hint: "drive the net with a cell or declare it a primary input".into(),
                         path: Vec::new(),

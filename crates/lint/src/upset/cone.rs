@@ -48,5 +48,5 @@ pub(crate) fn sweep_cone(
         .flat_map(|chain| &chain.cells)
         .map(|&cell| nl.cell(cell).output());
     let roots = [mv.err, mv.done].into_iter().chain(latches);
-    LiveCone::walk(nl, topo, level, &[], roots)
+    LiveCone::walk(nl, ctx.index(), topo, level, &[], roots)
 }

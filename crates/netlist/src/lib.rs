@@ -9,8 +9,11 @@
 //! * a three-valued logic type ([`Logic`]) with 0/1/X semantics;
 //! * the primitive cell set ([`GateKind`]) of a small 120nm-class standard
 //!   cell library, including scan and state-retention flip-flops;
-//! * a flat structural [`Netlist`] with validation, levelization and an
-//!   editing API used by the scan-insertion pass;
+//! * a flat structural [`Netlist`] with validation and an editing API
+//!   used by the scan-insertion pass;
+//! * the graph view every pass shares: a [`NetIndex`] of each net's
+//!   drivers and loads, the one [`levelize`] pass and the one
+//!   [`arrival_times`] pass;
 //! * an ergonomic [`NetlistBuilder`];
 //! * a calibrated [`CellLibrary`] (area / switching energy / leakage) and
 //!   [`AreaReport`] roll-ups, which downstream crates use to reproduce the
@@ -50,6 +53,7 @@ mod builder;
 mod cell;
 mod error;
 mod gate;
+mod graph;
 mod id;
 mod io;
 mod library;
@@ -64,11 +68,12 @@ pub use builder::NetlistBuilder;
 pub use cell::Cell;
 pub use error::NetlistError;
 pub use gate::GateKind;
+pub use graph::{levelize, NetIndex};
 pub use id::{CellId, NetId};
 pub use library::{CellLibrary, CellParams};
 pub use logic::{Logic, LogicSet};
 pub use netlist::Netlist;
 pub use report::AreaReport;
-pub use timing::{critical_path, TimingReport};
+pub use timing::{arrival_times, critical_path, TimingReport};
 pub use verilog::{from_verilog, to_verilog, to_verilog_behavioral, ParseError};
 pub use word::LogicWord;

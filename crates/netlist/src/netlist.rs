@@ -1,6 +1,6 @@
 //! The flat gate-level netlist container.
 
-use crate::{Cell, CellId, GateKind, NetId, NetlistError};
+use crate::{levelize, Cell, CellId, GateKind, NetId, NetIndex, NetlistError};
 use std::collections::HashMap;
 
 /// Per-net bookkeeping.
@@ -395,82 +395,34 @@ impl Netlist {
     /// Returns the first [`NetlistError`] found: undriven nets, multiple
     /// drivers, or a combinational loop.
     pub fn revalidate(&mut self) -> Result<(), NetlistError> {
-        // Driver consistency.
-        let mut seen_driver: Vec<Option<CellId>> = vec![None; self.nets.len()];
-        for (id, cell) in self.cells.iter().enumerate() {
-            let id = CellId::from_index(id);
-            let out = cell.output().index();
-            if self.nets[out].is_input || seen_driver[out].is_some() {
+        let index = NetIndex::new(self);
+        // Driver consistency: the first cell, in cell order, whose
+        // output is a port or was driven by an earlier cell.
+        for (id, cell) in self.cells() {
+            let out = cell.output();
+            if self.nets[out.index()].is_input || index.drivers(out)[0] != id {
                 return Err(NetlistError::MultipleDrivers {
-                    net: cell.output(),
-                    name: self.nets[out].name.clone(),
+                    net: out,
+                    name: self.nets[out.index()].name.clone(),
                     cell: id,
                 });
             }
-            seen_driver[out] = Some(id);
         }
         for (i, info) in self.nets.iter().enumerate() {
-            if seen_driver[i].is_none() && !info.is_input {
+            let net = NetId::from_index(i);
+            if index.drivers(net).is_empty() && !info.is_input {
                 return Err(NetlistError::UndrivenNet {
-                    net: NetId::from_index(i),
+                    net,
                     name: info.name.clone(),
                 });
             }
         }
         // Keep the cached driver field in sync with reality.
-        for (i, d) in seen_driver.iter().enumerate() {
-            self.nets[i].driver = *d;
+        for (i, info) in self.nets.iter_mut().enumerate() {
+            info.driver = index.drivers(NetId::from_index(i)).first().copied();
         }
-
-        // Kahn topological sort over combinational cells. Flip-flop outputs
-        // and primary inputs are sources; FF inputs are sinks.
-        let mut indegree: Vec<u32> = vec![0; self.cells.len()];
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); self.nets.len()];
-        for (i, cell) in self.cells.iter().enumerate() {
-            if cell.kind().is_sequential() {
-                continue;
-            }
-            for &inp in cell.inputs() {
-                let info = &self.nets[inp.index()];
-                match info.driver {
-                    Some(d) if !self.cells[d.index()].kind().is_sequential() => {
-                        fanout[inp.index()].push(i as u32);
-                        indegree[i] += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut order = Vec::with_capacity(self.cells.len());
-        let mut queue: Vec<u32> = (0..self.cells.len() as u32)
-            .filter(|&i| {
-                !self.cells[i as usize].kind().is_sequential() && indegree[i as usize] == 0
-            })
-            .collect();
-        while let Some(i) = queue.pop() {
-            order.push(CellId::from_index(i as usize));
-            let out = self.cells[i as usize].output();
-            for &succ in &fanout[out.index()] {
-                indegree[succ as usize] -= 1;
-                if indegree[succ as usize] == 0 {
-                    queue.push(succ);
-                }
-            }
-        }
-        let comb_count = self
-            .cells
-            .iter()
-            .filter(|c| !c.kind().is_sequential())
-            .count();
-        if order.len() != comb_count {
-            let looped = indegree
-                .iter()
-                .enumerate()
-                .find(|&(i, &deg)| deg > 0 && !self.cells[i].kind().is_sequential())
-                .map(|(i, _)| CellId::from_index(i))
-                .expect("missing topo entries imply a positive indegree");
-            return Err(NetlistError::CombinationalLoop { cell: looped });
-        }
+        let order = levelize(self, &index)
+            .map_err(|stuck| NetlistError::CombinationalLoop { cell: stuck[0] })?;
         self.topo = Some(order);
         Ok(())
     }

@@ -10,7 +10,7 @@
 //! pin) must be unchanged by monitor insertion, while the scan path
 //! (`si` pin) may lengthen freely.
 
-use crate::{CellLibrary, GateKind, Netlist};
+use crate::{CellId, CellLibrary, GateKind, Netlist};
 
 /// Worst arrival times of a netlist, in ps.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -49,22 +49,7 @@ pub struct TimingReport {
 /// ```
 #[must_use]
 pub fn critical_path(netlist: &Netlist, lib: &CellLibrary) -> TimingReport {
-    // Arrival time at each net.
-    let mut arrival = vec![0.0f64; netlist.net_count()];
-    // Launch points: flip-flop outputs arrive at clock-to-q.
-    for (_, cell) in netlist.ff_cells() {
-        arrival[cell.output().index()] = lib.params(cell.kind()).delay_ps;
-    }
-    // Propagate through combinational cells in topological order.
-    for &id in netlist.topo_order() {
-        let cell = netlist.cell(id);
-        let worst_in = cell
-            .inputs()
-            .iter()
-            .map(|n| arrival[n.index()])
-            .fold(0.0f64, f64::max);
-        arrival[cell.output().index()] = worst_in + lib.params(cell.kind()).delay_ps;
-    }
+    let arrival = arrival_times(netlist, netlist.topo_order(), lib);
     // Check capture points.
     let mut functional = 0.0f64;
     let mut scan = 0.0f64;
@@ -83,6 +68,30 @@ pub fn critical_path(netlist: &Netlist, lib: &CellLibrary) -> TimingReport {
         scan_ps: scan,
         output_ps: output,
     }
+}
+
+/// Per-net worst arrival times in ps: flip-flop outputs launch at
+/// clock-to-q, input ports at 0, and each cell of `order` (the
+/// combinational cells in topological order, as [`levelize`] returns
+/// them) adds its library delay to its latest input.
+///
+/// [`levelize`]: crate::levelize
+#[must_use]
+pub fn arrival_times(netlist: &Netlist, order: &[CellId], lib: &CellLibrary) -> Vec<f64> {
+    let mut arrival = vec![0.0f64; netlist.net_count()];
+    for (_, cell) in netlist.ff_cells() {
+        arrival[cell.output().index()] = lib.params(cell.kind()).delay_ps;
+    }
+    for &id in order {
+        let cell = netlist.cell(id);
+        let worst_in = cell
+            .inputs()
+            .iter()
+            .map(|n| arrival[n.index()])
+            .fold(0.0f64, f64::max);
+        arrival[cell.output().index()] = worst_in + lib.params(cell.kind()).delay_ps;
+    }
+    arrival
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ mod trace;
 
 pub use event::{arg, ArgValue, Event, EventKind, Lane};
 pub use metrics::{CounterHandle, HistogramHandle, HistogramSnapshot, MetricsSnapshot};
-pub use profile::{FlatRow, LaneProfile, Profile, ProfileNode};
+pub use profile::{LaneProfile, Profile, ProfileNode};
 pub use prom::{prom_name, to_prometheus, PROM_CONTENT_TYPE};
 pub use recorder::{Level, PhaseLog, Recorder, RecorderConfig};
 pub use trace::{lane_name, lane_tid, to_chrome_trace, to_jsonl};

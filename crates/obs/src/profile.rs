@@ -20,8 +20,7 @@
 //!
 //! Exports: [`Profile::collapsed`] writes the folded-stack text format
 //! (`lane;parent;child self_ns` per line) that `flamegraph.pl`,
-//! inferno and speedscope all consume; [`Profile::flat`] is the
-//! per-name table the CLI prints.
+//! inferno and speedscope all consume.
 
 use crate::event::{Event, EventKind, Lane};
 use crate::trace::lane_name;
@@ -149,21 +148,6 @@ fn flatten(arena: &[ArenaNode], idx: usize) -> Vec<ProfileNode> {
         .collect()
 }
 
-/// One row of the flat (per-name) profile table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatRow {
-    /// Span name.
-    pub name: String,
-    /// Spans closed under this name, at any path.
-    pub calls: u64,
-    /// Summed `self_ns` across every path position.
-    pub self_ns: u64,
-    /// Summed `total_ns` across *outermost* occurrences only (a
-    /// recursive span's inner frames are already inside the outer
-    /// frame's total, so counting them again would exceed wall time).
-    pub total_ns: u64,
-}
-
 impl Profile {
     /// Folds a recorded event stream into per-lane call trees.
     ///
@@ -217,21 +201,6 @@ impl Profile {
         out
     }
 
-    /// The per-name flat table, sorted by descending `self_ns` then
-    /// name (stable for equal times).
-    #[must_use]
-    pub fn flat(&self) -> Vec<FlatRow> {
-        let mut rows: BTreeMap<String, FlatRow> = BTreeMap::new();
-        for lane in &self.lanes {
-            for root in &lane.roots {
-                collect_flat_rec(&mut rows, root, &mut Vec::new());
-            }
-        }
-        let mut out: Vec<FlatRow> = rows.into_values().collect();
-        out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
-        out
-    }
-
     /// Checks the telescope identity on every node: `self_ns + Σ
     /// direct-child total_ns == total_ns`, exactly. A violation means
     /// a child span measured longer than its parent — inconsistent
@@ -256,32 +225,6 @@ fn collect_collapsed(lines: &mut Vec<String>, prefix: &str, node: &ProfileNode) 
     for child in &node.children {
         collect_collapsed(lines, &path, child);
     }
-}
-
-/// Walks the tree accumulating flat rows; `path` carries the ancestor
-/// names so a recursive span's inner totals are not double-counted.
-fn collect_flat_rec(
-    rows: &mut BTreeMap<String, FlatRow>,
-    node: &ProfileNode,
-    path: &mut Vec<String>,
-) {
-    let inside_same = path.iter().any(|n| n == &node.name);
-    let row = rows.entry(node.name.clone()).or_insert_with(|| FlatRow {
-        name: node.name.clone(),
-        calls: 0,
-        self_ns: 0,
-        total_ns: 0,
-    });
-    row.calls += node.calls;
-    row.self_ns += node.self_ns;
-    if !inside_same {
-        row.total_ns += node.total_ns;
-    }
-    path.push(node.name.clone());
-    for child in &node.children {
-        collect_flat_rec(rows, child, path);
-    }
-    path.pop();
 }
 
 fn verify_node(path: &str, node: &ProfileNode) -> Result<(), String> {
@@ -363,23 +306,6 @@ mod tests {
         ];
         let p = Profile::from_events(&events).unwrap();
         assert_eq!(p.collapsed(), "main;b 90\nmain;b;a 10\n");
-    }
-
-    #[test]
-    fn flat_table_handles_recursion_without_double_counting_total() {
-        use EventKind::{Begin, End};
-        let events = vec![
-            ev(0, "f", Begin, 0),
-            ev(1, "f", Begin, 10),
-            ev(2, "f", End, 60),
-            ev(3, "f", End, 100),
-        ];
-        let p = Profile::from_events(&events).unwrap();
-        let flat = p.flat();
-        assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].calls, 2);
-        assert_eq!(flat[0].self_ns, 100, "50 inner + 50 outer-self");
-        assert_eq!(flat[0].total_ns, 100, "outermost occurrence only");
     }
 
     #[test]

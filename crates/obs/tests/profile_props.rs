@@ -1,9 +1,9 @@
 //! Property tests of the span profiler: any well-nested span forest,
 //! folded into a [`Profile`], must satisfy the telescope identity
 //! `self_ns + Σ child.total_ns == total_ns` at every node (that is
-//! what [`Profile::verify`] checks), conserve wall time between the
-//! flat table and the tree, and survive a collapsed-stack round of
-//! bookkeeping without inventing or losing nanoseconds.
+//! what [`Profile::verify`] checks), conserve wall time across the
+//! tree, and survive a collapsed-stack round of bookkeeping without
+//! inventing or losing nanoseconds.
 
 use proptest::prelude::*;
 use scanguard_obs::{Event, EventKind, Lane, Profile, ProfileNode};

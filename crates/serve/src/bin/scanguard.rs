@@ -333,7 +333,7 @@ GLOBAL OPTIONS (any command):
   --metrics-out FILE                            write the snapshot to FILE instead
                                                   of stdout (implies --metrics)
 
-CODE: crc16 | hamming:M | secded:M | parity:GW   (M = parity bits, 3..=6)";
+CODE: crc16 | hamming:M | secded:M | parity:GW   (M = parity bits, 2..=6)";
 
 /// Every command and the options the CLI reads itself; a job command's
 /// parameters are declared by its job kind. Anything else is a typo the
@@ -582,8 +582,16 @@ fn cmd_validate(p: &Params, obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
+/// A Monte-Carlo sample count: zero samples would print `NaN` rates.
+fn samples(p: &Params, key: &str, default: u64) -> Result<u64, String> {
+    match p.u64(key)? {
+        Some(0) => Err(format!("--{key} must be at least 1")),
+        n => Ok(n.unwrap_or(default)),
+    }
+}
+
 fn cmd_fig10(p: &Params) -> Result<(), String> {
-    let sequences = p.u64("sequences")?.unwrap_or(10_000);
+    let sequences = samples(p, "sequences", 10_000)?;
     let cfg = Fig10Config {
         sequences,
         burst: p.bool("burst")?.unwrap_or(false),
@@ -601,7 +609,7 @@ fn cmd_fig10(p: &Params) -> Result<(), String> {
 }
 
 fn cmd_rush(p: &Params) -> Result<(), String> {
-    let trials = p.u64("trials")?.unwrap_or(1000);
+    let trials = samples(p, "trials", 1000)?;
     for r in ablation_rush(trials) {
         println!(
             "  {:<32} bounce {:.3} V  wake {:>3} cyc  P(upset) {:.3}  P(corrupt) {:.3}",

@@ -22,6 +22,7 @@ use scanguard_par::{CancelToken, PoolBudget};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -209,7 +210,8 @@ impl Daemon {
 
     /// Runs a work request under the in-flight registry: cancellable by
     /// a `cancel` request naming its id, aborted when its `timeout_ms`
-    /// deadline fires, rejected outright while draining.
+    /// deadline fires, rejected outright while draining. A handler that
+    /// panics answers `failed` and leaves the registry like any other.
     fn run_work(&self, req: &Request) -> Result<Value, (ErrorCode, String)> {
         if self.is_draining() {
             return Err((
@@ -243,7 +245,7 @@ impl Daemon {
             store: self.store.as_ref(),
             deterministic: true,
         };
-        let result = job.run(&ctx);
+        let result = caught(&req.kind, || job.run(&ctx));
         let returned = Instant::now();
         drop(grant);
         self.inflight
@@ -554,6 +556,25 @@ fn serve_conn(daemon: &Arc<Daemon>, stream: std::net::TcpStream, term: &Arc<Atom
     let _ = reader.join();
 }
 
+/// Runs a job handler, turning a panic into a `failed` answer naming
+/// the request kind and the panic message.
+fn caught(
+    kind: &str,
+    run: impl FnOnce() -> Result<Value, (ErrorCode, String)>,
+) -> Result<Value, (ErrorCode, String)> {
+    panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        Err((
+            ErrorCode::Failed,
+            format!("{kind} handler panicked: {what}"),
+        ))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,6 +758,41 @@ mod tests {
         assert!(message.contains("early-store does not apply"), "{message}");
         let s = ok_result(&d.handle_line(r#"{"id":15,"type":"status"}"#));
         assert_eq!(s.get("inflight"), Some(&num(0)));
+    }
+
+    #[test]
+    fn formerly_panicking_requests_are_bad_requests_and_leave_nothing_in_flight() {
+        let d = daemon();
+        for (line, names) in [
+            (
+                r#"{"id":21,"type":"explore","design":"fifo4x4","trials":10,"wmin":0}"#,
+                "\"wmin\" must be at least 1",
+            ),
+            (
+                r#"{"id":22,"type":"lint","design":"regfile1x1"}"#,
+                "regfile word count 1",
+            ),
+            (
+                r#"{"id":23,"type":"explore","design":"datapath1x1","trials":10}"#,
+                "datapath register count 1",
+            ),
+        ] {
+            let (code, message) = error_of(&d.handle_line(line));
+            assert_eq!(code, "bad-request", "{line}: {message}");
+            assert!(message.contains(names), "{line}: {message}");
+        }
+        let s = ok_result(&d.handle_line(r#"{"id":24,"type":"status"}"#));
+        assert_eq!(s.get("inflight"), Some(&num(0)));
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_failed() {
+        let (code, message) = caught("explore", || panic!("division by zero")).unwrap_err();
+        assert_eq!(code, ErrorCode::Failed);
+        assert_eq!(message, "explore handler panicked: division by zero");
+        let (_, message) = caught("lint", || panic!("{} words", 1)).unwrap_err();
+        assert_eq!(message, "lint handler panicked: 1 words");
+        assert_eq!(caught("status", || Ok(Value::Null)), Ok(Value::Null));
     }
 
     #[test]

@@ -760,9 +760,13 @@ impl<'a> ExploreJob<'a> {
                 p.name("trials")
             ));
         }
+        let w_min = p.usize("wmin")?;
+        if w_min == Some(0) {
+            return Err(format!("{} must be at least 1", p.name("wmin")));
+        }
         Ok(ExploreJob {
             design,
-            w_min: p.usize("wmin")?,
+            w_min,
             w_max: p.usize("wmax")?,
             trials,
             test_width: p.usize("test_width")?,

@@ -1,7 +1,8 @@
 //! The CLI's option errors: an unknown option is named as unknown
 //! whether or not a value follows it, and a known option without its
-//! value is named as missing one. Also: a run whose stdout reader goes
-//! away ends without a panic.
+//! value is named as missing one. A zero sample count or `--wmin 0` is
+//! refused, not run. Also: a run whose stdout reader goes away ends
+//! without a panic.
 
 use std::process::{Command, Stdio};
 
@@ -68,4 +69,33 @@ fn a_closed_stdout_ends_the_run_without_a_panic() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
     assert_ne!(run.status.code(), Some(101), "stderr:\n{stderr}");
+}
+
+#[test]
+fn a_zero_sample_count_is_refused_by_name() {
+    for (args, names) in [
+        (
+            &["fig10", "--sequences", "0"][..],
+            "--sequences must be at least 1",
+        ),
+        (
+            &["rush", "--trials", "0"][..],
+            "--trials must be at least 1",
+        ),
+    ] {
+        let stderr = failing(args);
+        assert!(stderr.contains(names), "scanguard {args:?}:\n{stderr}");
+    }
+}
+
+#[test]
+fn explore_refuses_a_zero_wmin_without_a_panic() {
+    let stderr = failing(&[
+        "explore", "--design", "fifo4x4", "--trials", "10", "--wmin", "0",
+    ]);
+    assert!(
+        stderr.contains("--wmin must be at least 1"),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
 }

@@ -25,7 +25,7 @@
 //! [`GateKind::eval_set`]: scanguard_netlist::GateKind::eval_set
 //! [`GateKind::masked_pins`]: scanguard_netlist::GateKind::masked_pins
 
-use scanguard_netlist::{CellId, Logic, LogicSet, NetId, Netlist};
+use scanguard_netlist::{CellId, Logic, LogicSet, NetId, NetIndex, Netlist};
 
 /// The cells that can influence a set of root nets under fixed input
 /// levels, with the levels each net can take.
@@ -33,7 +33,7 @@ use scanguard_netlist::{CellId, Logic, LogicSet, NetId, Netlist};
 /// # Examples
 ///
 /// ```
-/// use scanguard_netlist::{LogicSet, NetlistBuilder};
+/// use scanguard_netlist::{LogicSet, NetIndex, NetlistBuilder};
 /// use scanguard_sim::LiveCone;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,7 +47,7 @@ use scanguard_netlist::{CellId, Logic, LogicSet, NetId, Netlist};
 /// // While `se` is 1 the flop reads `si`: the inverter on `d` is dead.
 /// let se_net = nl.port("se")?;
 /// let level = |n| if n == se_net { LogicSet::ONE } else { LogicSet::ANY };
-/// let shift = LiveCone::walk(&nl, nl.topo_order(), level, &[], [q]);
+/// let shift = LiveCone::walk(&nl, &NetIndex::new(&nl), nl.topo_order(), level, &[], [q]);
 /// assert!(shift.comb().is_empty());
 /// assert_eq!(shift.seq().len(), 1);
 /// # Ok(())
@@ -62,27 +62,28 @@ pub struct LiveCone {
 }
 
 impl LiveCone {
-    /// Walks the cone of `roots`. `topo` lists the combinational cells
-    /// in topological order; `port_level` gives the levels each
+    /// Walks the cone of `roots`. `index` is the netlist's
+    /// [`NetIndex`]; `topo` lists the combinational cells in
+    /// topological order; `port_level` gives the levels each
     /// undriven input port can take; each `widen` entry adds a level to
     /// a net.
     #[must_use]
     pub fn walk(
         netlist: &Netlist,
+        index: &NetIndex,
         topo: &[CellId],
         port_level: impl Fn(NetId) -> LogicSet,
         widen: &[(NetId, Logic)],
         roots: impl IntoIterator<Item = NetId>,
     ) -> LiveCone {
         let nl = netlist;
-        let drivers = Drivers::new(nl);
         let mut extra = vec![LogicSet::EMPTY; nl.net_count()];
         for &(net, level) in widen {
             extra[net.index()] = extra[net.index()].union(LogicSet::singleton(level));
         }
         let mut levels = vec![LogicSet::ANY; nl.net_count()];
         for &(_, net) in nl.input_ports() {
-            if drivers.of(net).is_empty() {
+            if index.drivers(net).is_empty() {
                 levels[net.index()] = port_level(net);
             }
         }
@@ -96,7 +97,7 @@ impl LiveCone {
         for &id in topo {
             let cell = nl.cell(id);
             let out = cell.output().index();
-            if drivers.of(cell.output()).len() == 1 {
+            if index.drivers(cell.output()).len() == 1 {
                 pins.clear();
                 pins.extend(cell.inputs().iter().map(|n| levels[n.index()]));
                 levels[out] = cell.kind().eval_set(&pins).union(extra[out]);
@@ -115,7 +116,7 @@ impl LiveCone {
             mark(net, &mut stack);
         }
         while let Some(net) = stack.pop() {
-            for &id in drivers.of(net) {
+            for &id in index.drivers(net) {
                 if std::mem::replace(&mut live_cell[id.index()], true) {
                     continue;
                 }
@@ -168,37 +169,5 @@ impl LiveCone {
     #[must_use]
     pub fn cells(&self) -> usize {
         self.comb.len() + self.seq.len()
-    }
-}
-
-/// Every net's driving cells, packed: the drivers of net `n` are
-/// `cells[start[n]..start[n + 1]]`, in cell order.
-struct Drivers {
-    start: Vec<usize>,
-    cells: Vec<CellId>,
-}
-
-impl Drivers {
-    fn new(nl: &Netlist) -> Drivers {
-        let mut start = vec![0; nl.net_count() + 1];
-        for (_, cell) in nl.cells() {
-            start[cell.output().index() + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut fill = start.clone();
-        let mut cells = vec![CellId::from_index(0); nl.cell_count()];
-        for (id, cell) in nl.cells() {
-            let at = &mut fill[cell.output().index()];
-            cells[*at] = id;
-            *at += 1;
-        }
-        Drivers { start, cells }
-    }
-
-    fn of(&self, net: NetId) -> &[CellId] {
-        let i = net.index();
-        &self.cells[self.start[i]..self.start[i + 1]]
     }
 }
