@@ -342,6 +342,28 @@ fn differs(golden: &[Logic], observed: &[Logic]) -> bool {
         .any(|(&g, &f)| g.is_known() && f.is_known() && g != f)
 }
 
+/// What a scalar walk does with each observed slice; `true` stops it.
+type Observer<'a> = dyn FnMut(&[Logic]) -> bool + 'a;
+
+/// The golden run's observer: appends every observation to `response`.
+fn record(response: &mut Response) -> impl FnMut(&[Logic]) -> bool + '_ {
+    move |observed| {
+        response.extend_from_slice(observed);
+        false
+    }
+}
+
+/// A fault run's observer: compares each observation with the next bits
+/// of the golden `response` and stops at the first mismatch.
+fn against(response: &[Logic]) -> impl FnMut(&[Logic]) -> bool + '_ {
+    let mut at = 0;
+    move |observed| {
+        let golden = &response[at..at + observed.len()];
+        at += observed.len();
+        differs(golden, observed)
+    }
+}
+
 /// The word-parallel form of [`differs`] for one observed net: lane 0
 /// carries the golden machine, and the returned mask has a bit per lane
 /// whose value is known and differs from a *known* lane 0 — exactly the
@@ -421,39 +443,17 @@ impl Tester<'_> {
 
     /// Applies one pattern: shift in over the full chain length
     /// (observing the previous contents as they emerge), drive random
-    /// primary inputs, capture one functional cycle, observe POs.
-    fn apply_pattern(&self, sim: &mut Simulator<'_>, p: &Pattern) -> Response {
-        let mut observed = Vec::new();
-        sim.set_net(self.access.se(), Logic::One);
-        for ins in &p.scan_in {
-            observed.extend(self.access.shift(sim, ins));
-        }
-        sim.set_net(self.access.se(), Logic::Zero);
-        for (&net, &v) in self.free_pi.iter().zip(&p.pi) {
-            sim.set_net(net, v);
-        }
-        sim.settle();
-        for (_, net) in self.netlist.output_ports() {
-            observed.push(sim.value(*net));
-        }
-        sim.step();
-        observed
-    }
-
-    /// [`apply_pattern`](Self::apply_pattern) against a golden response:
-    /// every observed bit is compared the cycle it emerges, and the rest
-    /// of the pattern is abandoned at the first mismatch — a tester
+    /// primary inputs, capture one functional cycle, observe POs. Each
+    /// observation goes to `observe` the cycle it emerges, and the walk
+    /// stops there, returning `true`, when `observe` does: a tester
     /// would log the failing cycle, and a dropped fault needs nothing
-    /// more. Returns `true` on a mismatch.
-    fn apply_pattern_vs(&self, sim: &mut Simulator<'_>, p: &Pattern, golden: &[Logic]) -> bool {
-        let mut at = 0usize;
+    /// more.
+    fn apply_pattern(&self, sim: &mut Simulator<'_>, p: &Pattern, observe: &mut Observer) -> bool {
         sim.set_net(self.access.se(), Logic::One);
         for ins in &p.scan_in {
-            let outs = self.access.shift(sim, ins);
-            if differs(&golden[at..at + outs.len()], &outs) {
+            if observe(&self.access.shift(sim, ins)) {
                 return true;
             }
-            at += outs.len();
         }
         sim.set_net(self.access.se(), Logic::Zero);
         for (&net, &v) in self.free_pi.iter().zip(&p.pi) {
@@ -461,42 +461,20 @@ impl Tester<'_> {
         }
         sim.settle();
         for (_, net) in self.netlist.output_ports() {
-            let g = golden[at];
-            let f = sim.value(*net);
-            if g.is_known() && f.is_known() && g != f {
+            if observe(&[sim.value(*net)]) {
                 return true;
             }
-            at += 1;
         }
         sim.step();
         false
     }
 
-    /// The final flush, so the last capture is observed too.
-    fn flush(&self, sim: &mut Simulator<'_>) -> Response {
+    /// The final flush, so the last capture is observed too; stops like
+    /// [`apply_pattern`](Self::apply_pattern).
+    fn flush(&self, sim: &mut Simulator<'_>, observe: &mut Observer) -> bool {
         sim.set_net(self.access.se(), Logic::One);
         let zeros = vec![Logic::Zero; self.width];
-        let mut flushed = Vec::new();
-        for _ in 0..self.length {
-            flushed.extend(self.access.shift(sim, &zeros));
-        }
-        flushed
-    }
-
-    /// [`flush`](Self::flush) against the golden flush, stopping at the
-    /// first mismatching bit. Returns `true` on a mismatch.
-    fn flush_vs(&self, sim: &mut Simulator<'_>, golden: &[Logic]) -> bool {
-        sim.set_net(self.access.se(), Logic::One);
-        let zeros = vec![Logic::Zero; self.width];
-        let mut at = 0usize;
-        for _ in 0..self.length {
-            let outs = self.access.shift(sim, &zeros);
-            if differs(&golden[at..at + outs.len()], &outs) {
-                return true;
-            }
-            at += outs.len();
-        }
-        false
+        (0..self.length).any(|_| observe(&self.access.shift(sim, &zeros)))
     }
 
     /// The fault-free run: one response per pattern plus the flush, and
@@ -509,9 +487,15 @@ impl Tester<'_> {
         let mut responses: Vec<Response> = self
             .patterns
             .iter()
-            .map(|p| self.apply_pattern(&mut sim, p))
+            .map(|p| {
+                let mut observed = Vec::new();
+                self.apply_pattern(&mut sim, p, &mut record(&mut observed));
+                observed
+            })
             .collect();
-        responses.push(self.flush(&mut sim));
+        let mut flushed = Vec::new();
+        self.flush(&mut sim, &mut record(&mut flushed));
+        responses.push(flushed);
         let cycles = sim.cycles();
         if let Some(rec) = self.obs {
             rec.end(
@@ -533,7 +517,7 @@ impl Tester<'_> {
     fn simulate_fault(&self, fault: Fault, golden: &[Response]) -> FaultOutcome {
         let mut sim = self.fresh_sim(Some(fault));
         for (p, pattern) in self.patterns.iter().enumerate() {
-            if self.apply_pattern_vs(&mut sim, pattern, &golden[p]) {
+            if self.apply_pattern(&mut sim, pattern, &mut against(&golden[p])) {
                 return FaultOutcome {
                     detected_at: Some(p),
                     cycles: sim.cycles(),
@@ -541,7 +525,7 @@ impl Tester<'_> {
             }
         }
         let detected_at = self
-            .flush_vs(&mut sim, &golden[self.patterns.len()])
+            .flush(&mut sim, &mut against(&golden[self.patterns.len()]))
             .then_some(self.patterns.len());
         FaultOutcome {
             detected_at,

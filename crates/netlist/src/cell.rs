@@ -20,7 +20,7 @@ use crate::{GateKind, NetId};
 /// let cell = nl.driver(y).unwrap();
 /// assert_eq!(nl.cell(cell).kind(), GateKind::Xor2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct Cell {
     kind: GateKind,
     inputs: Vec<NetId>,

@@ -46,6 +46,15 @@ pub enum NetlistError {
         /// The underlying encoder/decoder message.
         message: String,
     },
+    /// A JSON netlist document does not describe a netlist: a member is
+    /// missing or mistyped, a net id is out of range, or a cell has the
+    /// wrong number of inputs for its kind.
+    Document {
+        /// Where in the document, e.g. `cells[3].inputs[1]`.
+        at: String,
+        /// What is wrong there.
+        message: String,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -72,6 +81,9 @@ impl fmt::Display for NetlistError {
             NetlistError::UnknownPort { name } => write!(f, "unknown port {name:?}"),
             NetlistError::Serialize { message } => {
                 write!(f, "netlist serialization failed: {message}")
+            }
+            NetlistError::Document { at, message } => {
+                write!(f, "invalid netlist document at {at}: {message}")
             }
         }
     }

@@ -204,7 +204,7 @@ mod tests {
                 }
             }
         }
-        serde_json::from_str(&serde_json::to_string(&doc).unwrap()).unwrap()
+        Netlist::from_json_unvalidated(&serde_json::to_string(&doc).unwrap()).unwrap()
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::{levelize, Cell, CellId, GateKind, NetId, NetIndex, NetlistError};
 use std::collections::HashMap;
 
 /// Per-net bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct NetInfo {
     pub(crate) name: Option<String>,
     /// The cell driving this net, or `None` for primary inputs.
@@ -38,7 +38,7 @@ pub(crate) struct NetInfo {
 /// assert_eq!(nl.cell_count(), 2);
 /// assert_eq!(nl.input_ports().len(), 2);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
     pub(crate) nets: Vec<NetInfo>,
@@ -261,10 +261,32 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::DuplicatePort`] if the name is taken.
     pub fn add_output_port(&mut self, name: &str, net: NetId) -> Result<(), NetlistError> {
+        self.declare_port(name, net, false)
+    }
+
+    /// Declares an existing net as an input or output port, as written:
+    /// the JSON decoder's path, which leaves driver conflicts to
+    /// [`Netlist::revalidate`] so `lint` can read them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::DuplicatePort`] if the name is taken.
+    pub(crate) fn declare_port(
+        &mut self,
+        name: &str,
+        net: NetId,
+        input: bool,
+    ) -> Result<(), NetlistError> {
         if self.port_index.contains_key(name) {
             return Err(NetlistError::DuplicatePort { name: name.into() });
         }
-        self.outputs.push((name.to_owned(), net));
+        if input {
+            self.topo = None;
+            self.nets[net.index()].is_input = true;
+            self.inputs.push((name.to_owned(), net));
+        } else {
+            self.outputs.push((name.to_owned(), net));
+        }
         self.port_index.insert(name.to_owned(), net);
         Ok(())
     }

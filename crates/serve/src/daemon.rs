@@ -709,6 +709,14 @@ mod tests {
             message.contains("\"trials\"") && message.contains("100000"),
             "{message}"
         );
+        // Zero trials would report a residual of 0.0 for every point.
+        let (code, message) =
+            error_of(&d.handle_line(r#"{"id":21,"type":"explore","design":"fifo4x4","trials":0}"#));
+        assert_eq!(code, "bad-request", "{message}");
+        assert!(
+            message.contains("\"trials\" must be at least 1"),
+            "{message}"
+        );
         let s = ok_result(&d.handle_line(r#"{"id":20,"type":"status"}"#));
         assert_eq!(s.get("draining"), Some(&Value::Bool(false)));
     }

@@ -23,7 +23,7 @@ use scanguard_explore::{
     ExploreEnv, ExploreError, Objective, SpaceReport, SpaceSpec,
 };
 use scanguard_lint::{lint_netlist, LintContext, LintReport, RuleSet, Severity, UpsetReport};
-use scanguard_netlist::{CellLibrary, Netlist};
+use scanguard_netlist::{CellLibrary, Netlist, NetlistError};
 use scanguard_obs::Recorder;
 use scanguard_par::CancelToken;
 use serde::{Number, Serialize, Value};
@@ -243,8 +243,7 @@ pub enum NetlistSource<'a> {
     /// A built-in generator (`fifo32x32`, `mesh100x100`, ...).
     Generator(DesignSpec),
     /// Imported text, named `origin` in errors: structural Verilog, or
-    /// (`json`) the JSON netlist dump, decoded without revalidation so
-    /// `lint` can inspect netlists the validator would reject.
+    /// (`json`) the JSON netlist document.
     Text {
         text: Cow<'a, str>,
         origin: &'a str,
@@ -261,8 +260,16 @@ impl NetlistSource<'_> {
         }
     }
 
-    /// Generates or decodes the netlist.
+    /// Generates or decodes the netlist, validated: a JSON document is
+    /// revalidated as imported Verilog is.
     pub fn netlist(&self) -> Result<Netlist, String> {
+        self.decode(Netlist::from_json)
+    }
+
+    /// Generates or decodes the netlist, reading a JSON document with
+    /// `json`: `lint` passes [`Netlist::from_json_unvalidated`] to
+    /// inspect netlists the validator rejects.
+    fn decode(&self, json: fn(&str) -> Result<Netlist, NetlistError>) -> Result<Netlist, String> {
         match self {
             NetlistSource::Generator(spec) => Ok(spec.netlist()),
             NetlistSource::Text {
@@ -271,7 +278,7 @@ impl NetlistSource<'_> {
                 json: false,
             } => scanguard_netlist::from_verilog(text).map_err(|e| format!("{origin}: {e}")),
             NetlistSource::Text { text, origin, .. } => {
-                serde_json::from_str(text).map_err(|e| format!("parsing {origin}: {e}"))
+                json(text).map_err(|e| format!("parsing {origin}: {e}"))
             }
         }
     }
@@ -462,7 +469,7 @@ impl<'a> LintJob<'a> {
         Ok(match &self.design.base {
             NetlistSource::Generator(_) => self.design.build()?.lint(&self.rules, ctx.obs),
             imported => lint_netlist(
-                &imported.netlist()?,
+                &imported.decode(Netlist::from_json_unvalidated)?,
                 &CellLibrary::st120nm(),
                 &self.rules,
                 ctx.obs,
@@ -759,6 +766,9 @@ impl<'a> ExploreJob<'a> {
                 "{} must be at most {MAX_TRIALS}, got {trials}",
                 p.name("trials")
             ));
+        }
+        if trials == Some(0) {
+            return Err(format!("{} must be at least 1", p.name("trials")));
         }
         let w_min = p.usize("wmin")?;
         if w_min == Some(0) {

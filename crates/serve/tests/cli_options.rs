@@ -82,6 +82,10 @@ fn a_zero_sample_count_is_refused_by_name() {
             &["rush", "--trials", "0"][..],
             "--trials must be at least 1",
         ),
+        (
+            &["explore", "--design", "fifo4x4", "--trials", "0"][..],
+            "--trials must be at least 1",
+        ),
     ] {
         let stderr = failing(args);
         assert!(stderr.contains(names), "scanguard {args:?}:\n{stderr}");
